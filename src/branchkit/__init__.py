@@ -5,6 +5,9 @@ oracle on the other, and verification grids that hold them against each
 other.
 """
 
+from types import MappingProxyType
+
+from . import lr as _lr
 from .branching import (
     BranchingQuery,
     PAIR_IDS,
@@ -31,7 +34,7 @@ from .characters import (
     restrict_character,
     weight_multiplicities,
 )
-from .lr import lr_coeff, skew_expand, tensor_expand
+from .lr import lr_coeff, tensor_expand
 from .oracle import (
     dim_irrep,
     duality_dim_check,
@@ -64,3 +67,9 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def skew_expand(outer: Partition, inner: Partition) -> MappingProxyType:
+    """All ν with c^outer_{inner,ν} > 0, as a read-only map ν -> coefficient
+    (a view of the memo's entry, so a caller cannot change later answers)."""
+    return MappingProxyType(_lr.skew_expand(outer, inner))

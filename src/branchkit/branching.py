@@ -18,6 +18,10 @@ Pair identifiers (the external interface):
     o-in-gl   O_n ⊂ GL_n                  (invariant bilinear form)
     sp-in-gl  Sp_2n ⊂ GL_2n               (invariant bilinear form)
 
+``PAIRS`` is the one place per-pair facts live: the rule's kind and number,
+the label families on each side and the big label's rank.  Each pair's
+stable-range inequalities are written once, in range_violations.
+
 For the diagonal pairs a query carries the two tensor factors as ``small``
 and the target constituent as ``big``; for all other pairs ``big`` is the
 representation being restricted.
@@ -31,6 +35,7 @@ theorems that the bilinear rules generalize.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InvalidLabel, StableRangeViolation, UnknownPair
 from .lr import (
@@ -49,22 +54,51 @@ from .partitions import (
     subpartitions,
 )
 
-PAIR_IDS = (
-    "gl-diag", "o-diag", "sp-diag",
-    "gl-sum", "o-sum", "sp-sum",
-    "gl-in-o", "gl-in-sp",
-    "o-in-gl", "sp-in-gl",
-)
 
-# rule ids quoted in stable-range violation reports
-RULE_ID = {
-    "gl-diag": "2.1.1", "o-diag": "2.1.2", "sp-diag": "2.1.3",
-    "gl-sum": "2.2.1", "o-sum": "2.2.2", "sp-sum": "2.2.3",
-    "gl-in-o": "2.3.1", "gl-in-sp": "2.3.2",
-    "o-in-gl": "2.4.1", "sp-in-gl": "2.4.2",
+class PairRule(NamedTuple):
+    """The facts a rule is stated with: its kind, its number, the label
+    families on each side and how the big label's rank follows from n.
+    A NamedTuple rather than a frozen dataclass: just as immutable, and
+    about 1 ms cheaper to create at import."""
+
+    kind: str  # "diag" | "sum" | "polarization" | "bilinear"
+    rule_id: str
+    big: str  # family of the big label: "GL" | "O" | "Sp"
+    small: str  # family of each small label
+    big_scale: int = 1  # the big rank is big_scale·n outside the sum rules
+
+    @property
+    def small_count(self) -> int:
+        return 2 if self.kind in ("diag", "sum") else 1
+
+
+PAIRS = {
+    "gl-diag": PairRule("diag", "2.1.1", "GL", "GL"),
+    "o-diag": PairRule("diag", "2.1.2", "O", "O"),
+    "sp-diag": PairRule("diag", "2.1.3", "Sp", "Sp"),
+    "gl-sum": PairRule("sum", "2.2.1", "GL", "GL"),
+    "o-sum": PairRule("sum", "2.2.2", "O", "O"),
+    "sp-sum": PairRule("sum", "2.2.3", "Sp", "Sp"),
+    "gl-in-o": PairRule("polarization", "2.3.1", "O", "GL", big_scale=2),
+    "gl-in-sp": PairRule("polarization", "2.3.2", "Sp", "GL"),
+    "o-in-gl": PairRule("bilinear", "2.4.1", "GL", "O"),
+    "sp-in-gl": PairRule("bilinear", "2.4.2", "GL", "Sp", big_scale=2),
 }
 
-TWO_RANK_PAIRS = ("gl-sum", "o-sum", "sp-sum")
+PAIR_IDS = tuple(PAIRS)
+
+# rule ids quoted in stable-range violation reports
+RULE_ID = {pair: rule.rule_id for pair, rule in PAIRS.items()}
+
+TWO_RANK_PAIRS = tuple(pair for pair, rule in PAIRS.items() if rule.kind == "sum")
+
+
+def rule_of(pair: str) -> PairRule:
+    """The pair's PairRule; UnknownPair for an id not in PAIRS."""
+    rule = PAIRS.get(pair)
+    if rule is None:
+        raise UnknownPair(pair)
+    return rule
 
 
 @dataclass(frozen=True)
@@ -116,16 +150,21 @@ class BranchingQuery:
     small: tuple[RepLabel, ...]
 
     def validate_labels(self) -> None:
-        if self.pair not in PAIR_IDS:
-            raise UnknownPair(self.pair)
+        expected = rule_of(self.pair).small_count
         self.big.validate()
         for s in self.small:
             s.validate()
-        expected = 2 if self.pair in TWO_RANK_PAIRS or self.pair.endswith("diag") else 1
         if len(self.small) != expected:
             raise InvalidLabel(
                 f"{self.pair} expects {expected} small label(s), got {len(self.small)}"
             )
+
+    @property
+    def ranks(self) -> tuple[int, ...]:
+        """The pair's (n,) or (n, m), read back from the labels."""
+        if rule_of(self.pair).kind == "diag":
+            return (self.big.rank,)
+        return tuple(s.rank for s in self.small)
 
 
 def query(pair: str, ranks, big, small) -> BranchingQuery:
@@ -134,125 +173,106 @@ def query(pair: str, ranks, big, small) -> BranchingQuery:
     ranks: (n,) or (n, m) per pair.  big/small: partitions or GLLabels in
     the layout the pair expects.
     """
-    if pair not in PAIR_IDS:
-        raise UnknownPair(pair)
+    rule = rule_of(pair)
     n = ranks[0]
-    m = ranks[1] if len(ranks) > 1 else None
-    gl = lambda lab, r: RepLabel("GL", r, lab)
-    o = lambda lam, r: RepLabel("O", r, lam)
-    sp = lambda lam, r: RepLabel("Sp", r, lam)
-    if pair == "gl-diag":
-        return BranchingQuery(pair, gl(big, n), (gl(small[0], n), gl(small[1], n)))
-    if pair == "o-diag":
-        return BranchingQuery(pair, o(big, n), (o(small[0], n), o(small[1], n)))
-    if pair == "sp-diag":
-        return BranchingQuery(pair, sp(big, n), (sp(small[0], n), sp(small[1], n)))
-    if pair == "gl-sum":
-        return BranchingQuery(pair, gl(big, n + m), (gl(small[0], n), gl(small[1], m)))
-    if pair == "o-sum":
-        return BranchingQuery(pair, o(big, n + m), (o(small[0], n), o(small[1], m)))
-    if pair == "sp-sum":
-        return BranchingQuery(pair, sp(big, n + m), (sp(small[0], n), sp(small[1], m)))
-    if pair == "gl-in-o":
-        return BranchingQuery(pair, o(big, 2 * n), (gl(small[0], n),))
-    if pair == "gl-in-sp":
-        return BranchingQuery(pair, sp(big, n), (gl(small[0], n),))
-    if pair == "o-in-gl":
-        return BranchingQuery(pair, gl(big, n), (o(small[0], n),))
-    # sp-in-gl
-    return BranchingQuery(pair, gl(big, 2 * n), (sp(small[0], n),))
+    if rule.kind == "sum":
+        m = ranks[1] if len(ranks) > 1 else None
+        big_rank, small_ranks = n + m, (n, m)
+    else:
+        big_rank, small_ranks = rule.big_scale * n, (n,) * rule.small_count
+    return BranchingQuery(
+        pair, RepLabel(rule.big, big_rank, big),
+        tuple(RepLabel(rule.small, r, small[i]) for i, r in enumerate(small_ranks)))
 
 
 # ---------------------------------------------------------------------------
 # stable-range validation
 
 
-def stable_range_violations(q: BranchingQuery) -> list[str]:
-    """Empty list when the rule's hypotheses hold, else the failed
-    inequalities, quoted with their numbers filled in."""
-    pair = q.pair
+def range_violations(pair: str, ranks, big=None, small=None) -> list[str]:
+    """The rule's hypotheses that fail at ranks (n,) or (n, m), quoted with
+    their numbers filled in; empty when they all hold.
+
+    ``big`` and ``small`` are label data in query layout: for the diagonal
+    pairs ``small`` holds the two tensor factors.  An inequality that reads
+    a label left as None is skipped, so either side can be checked alone;
+    gl-diag and gl-sum then word their one inequality for that side alone.
+    """
+    rule = rule_of(pair)
+    kind = rule.kind
+    n = ranks[0]
+    # the length cap at rank n on a label of the small family, if O or Sp
+    cap, cap_text = (n // 2, "⌊n/2⌋") if rule.small == "O" else (n, "n")
     out: list[str] = []
 
     def need(cond: bool, text: str):
         if not cond:
             out.append(text)
 
+    def at_most(name: str, value: int, bound_name: str, bound: int,
+                halved: bool = False):
+        """value <= bound, or value <= bound/2 when ``halved``."""
+        shown = f"{bound}/2" if halved else bound
+        need(2 * value <= bound if halved else value <= bound,
+             f"{name} <= {bound_name} fails: {value} > {shown}")
+
     if pair == "gl-diag":
-        lam, mu, nu = q.big.data, q.small[0].data, q.small[1].data
-        n = q.big.rank
-        p, qq, r, s = len(mu.plus), len(mu.minus), len(nu.plus), len(nu.minus)
-        need(n >= p + qq + r + s,
-             f"n >= p+q+r+s fails: {n} < {p}+{qq}+{r}+{s}")
-        need(len(lam.plus) <= p + r,
-             f"ℓ(λ+) <= p+r fails: {len(lam.plus)} > {p + r}")
-        need(len(lam.minus) <= qq + s,
-             f"ℓ(λ-) <= q+s fails: {len(lam.minus)} > {qq + s}")
-    elif pair == "o-diag":
-        lam, mu, nu = q.big.data, q.small[0].data, q.small[1].data
-        half = q.big.rank // 2
-        need(len(lam) <= half, f"ℓ(λ) <= ⌊n/2⌋ fails: {len(lam)} > {half}")
-        need(len(mu) + len(nu) <= half,
-             f"ℓ(μ)+ℓ(ν) <= ⌊n/2⌋ fails: {len(mu) + len(nu)} > {half}")
-    elif pair == "sp-diag":
-        lam, mu, nu = q.big.data, q.small[0].data, q.small[1].data
-        n = q.big.rank
-        need(len(lam) <= n, f"ℓ(λ) <= n fails: {len(lam)} > {n}")
-        need(len(mu) + len(nu) <= n,
-             f"ℓ(μ)+ℓ(ν) <= n fails: {len(mu) + len(nu)} > {n}")
+        if small is not None:
+            mu, nu = small
+            p, q, r, s = len(mu.plus), len(mu.minus), len(nu.plus), len(nu.minus)
+            terms = f"{p}+{q}+{r}+{s}" if big is not None else p + q + r + s
+            need(n >= p + q + r + s, f"n >= p+q+r+s fails: {n} < {terms}")
+            if big is not None:
+                at_most("ℓ(λ+)", len(big.plus), "p+r", p + r)
+                at_most("ℓ(λ-)", len(big.minus), "q+s", q + s)
+    elif kind == "diag":
+        if big is not None:
+            at_most("ℓ(λ)", len(big), cap_text, cap)
+        if small is not None:
+            at_most("ℓ(μ)+ℓ(ν)", len(small[0]) + len(small[1]), cap_text, cap)
     elif pair == "gl-sum":
-        lam = q.big.data
-        mu, nu = q.small[0].data, q.small[1].data
-        n, m = q.small[0].rank, q.small[1].rank
-        p = max(len(lam.plus), len(mu.plus), len(nu.plus))
-        qq = max(len(lam.minus), len(mu.minus), len(nu.minus))
-        need(p + qq <= min(n, m),
-             f"p+q <= min(n,m) fails: {p}+{qq} > {min(n, m)}")
-    elif pair == "o-sum":
-        lam = q.big.data
-        mu, nu = q.small[0].data, q.small[1].data
-        n, m = q.small[0].rank, q.small[1].rank
-        for name, part in (("λ", lam), ("μ", mu), ("ν", nu)):
-            need(2 * len(part) <= min(n, m),
-                 f"ℓ({name}) <= ½min(n,m) fails: {len(part)} > {min(n, m)}/2")
-    elif pair == "sp-sum":
-        lam = q.big.data
-        mu, nu = q.small[0].data, q.small[1].data
-        n, m = q.small[0].rank, q.small[1].rank
-        for name, part in (("λ", lam), ("μ", mu), ("ν", nu)):
-            need(len(part) <= min(n, m),
-                 f"ℓ({name}) <= min(n,m) fails: {len(part)} > {min(n, m)}")
-    elif pair in ("gl-in-o", "gl-in-sp"):
-        lam = q.big.data
-        mu = q.small[0].data
-        n = q.small[0].rank
-        half = n // 2
-        need(len(lam) <= half, f"ℓ(λ) <= ⌊n/2⌋ fails: {len(lam)} > {half}")
-        need(len(mu.plus) <= half,
-             f"ℓ(μ+) <= ⌊n/2⌋ fails: {len(mu.plus)} > {half}")
-        need(len(mu.minus) <= half,
-             f"ℓ(μ-) <= ⌊n/2⌋ fails: {len(mu.minus)} > {half}")
-    elif pair == "o-in-gl":
-        # the dual-pair derivation needs n >= 2(ℓ(λ+)+ℓ(λ-)), which is
-        # stronger than bounding each length by ⌊n/2⌋ separately
-        lam = q.big.data
-        mu = q.small[0].data
-        n = q.big.rank
-        need(2 * (len(lam.plus) + len(lam.minus)) <= n,
-             f"ℓ(λ+)+ℓ(λ-) <= n/2 fails: "
-             f"{len(lam.plus) + len(lam.minus)} > {n}/2")
-        need(len(mu) <= n // 2, f"ℓ(μ) <= ⌊n/2⌋ fails: {len(mu)} > {n // 2}")
-    elif pair == "sp-in-gl":
-        # likewise the derivation needs n >= ℓ(λ+)+ℓ(λ-), not just each <= n
-        lam = q.big.data
-        mu = q.small[0].data
-        n = q.small[0].rank
-        need(len(lam.plus) + len(lam.minus) <= n,
-             f"ℓ(λ+)+ℓ(λ-) <= n fails: "
-             f"{len(lam.plus) + len(lam.minus)} > {n}")
-        need(len(mu) <= n, f"ℓ(μ) <= n fails: {len(mu)} > {n}")
-    else:
-        raise UnknownPair(pair)
+        low = min(ranks[0], ranks[1])
+        if big is not None:
+            labels = (big,) + tuple(small or ())
+            p = max(len(lab.plus) for lab in labels)
+            q = max(len(lab.minus) for lab in labels)
+            need(p + q <= low,
+                 f"p+q <= min(n,m) fails: {p}+{q} > {low}" if small is not None
+                 else f"ℓ(λ+)+ℓ(λ-) <= min(n,m) fails: {p + q} > {low}")
+    elif kind == "sum":
+        low = min(ranks[0], ranks[1])
+        for name, part in zip("λμν", (big,) + tuple(small or (None, None))):
+            if part is None:
+                continue
+            if pair == "o-sum":
+                at_most(f"ℓ({name})", len(part), "½min(n,m)", low, halved=True)
+            else:
+                at_most(f"ℓ({name})", len(part), "min(n,m)", low)
+    elif kind == "polarization":
+        if big is not None:
+            at_most("ℓ(λ)", len(big), "⌊n/2⌋", n // 2)
+        if small is not None:
+            at_most("ℓ(μ+)", len(small[0].plus), "⌊n/2⌋", n // 2)
+            at_most("ℓ(μ-)", len(small[0].minus), "⌊n/2⌋", n // 2)
+    else:  # bilinear
+        # the dual-pair derivation needs n >= 2(ℓ(λ+)+ℓ(λ-)) for O and
+        # n >= ℓ(λ+)+ℓ(λ-) for Sp, stronger than bounding each length alone
+        if big is not None:
+            k = len(big.plus) + len(big.minus)
+            if pair == "o-in-gl":
+                at_most("ℓ(λ+)+ℓ(λ-)", k, "n/2", n, halved=True)
+            else:
+                at_most("ℓ(λ+)+ℓ(λ-)", k, "n", n)
+        if small is not None:
+            at_most("ℓ(μ)", len(small[0]), cap_text, cap)
     return out
+
+
+def stable_range_violations(q: BranchingQuery) -> list[str]:
+    """Empty list when the rule's hypotheses hold, else the failed
+    inequalities, quoted with their numbers filled in."""
+    return range_violations(q.pair, q.ranks, q.big.data,
+                            tuple(s.data for s in q.small))
 
 
 def validate_stable_range(q: BranchingQuery) -> BranchingQuery:
@@ -270,57 +290,9 @@ def decompose_range_violations(pair: str, big, ranks) -> list[str]:
 
     The small-side inequalities are enforced per candidate by
     branch_decompose's length caps."""
-    out: list[str] = []
-
-    def need(cond, text):
-        if not cond:
-            out.append(text)
-
-    if pair == "gl-diag":
-        mu, nu = big
-        n = ranks[0]
-        total = (len(mu.plus) + len(mu.minus)
-                 + len(nu.plus) + len(nu.minus))
-        need(n >= total, f"n >= p+q+r+s fails: {n} < {total}")
-    elif pair == "o-diag":
-        mu, nu = big
-        half = ranks[0] // 2
-        need(len(mu) + len(nu) <= half,
-             f"ℓ(μ)+ℓ(ν) <= ⌊n/2⌋ fails: {len(mu) + len(nu)} > {half}")
-    elif pair == "sp-diag":
-        mu, nu = big
-        n = ranks[0]
-        need(len(mu) + len(nu) <= n,
-             f"ℓ(μ)+ℓ(ν) <= n fails: {len(mu) + len(nu)} > {n}")
-    elif pair == "gl-sum":
-        n, m = ranks
-        need(len(big.plus) + len(big.minus) <= min(n, m),
-             f"ℓ(λ+)+ℓ(λ-) <= min(n,m) fails: "
-             f"{len(big.plus) + len(big.minus)} > {min(n, m)}")
-    elif pair == "o-sum":
-        n, m = ranks
-        need(2 * len(big) <= min(n, m),
-             f"ℓ(λ) <= ½min(n,m) fails: {len(big)} > {min(n, m)}/2")
-    elif pair == "sp-sum":
-        n, m = ranks
-        need(len(big) <= min(n, m),
-             f"ℓ(λ) <= min(n,m) fails: {len(big)} > {min(n, m)}")
-    elif pair in ("gl-in-o", "gl-in-sp"):
-        half = ranks[0] // 2
-        need(len(big) <= half, f"ℓ(λ) <= ⌊n/2⌋ fails: {len(big)} > {half}")
-    elif pair == "o-in-gl":
-        n = ranks[0]
-        need(2 * (len(big.plus) + len(big.minus)) <= n,
-             f"ℓ(λ+)+ℓ(λ-) <= n/2 fails: "
-             f"{len(big.plus) + len(big.minus)} > {n}/2")
-    elif pair == "sp-in-gl":
-        n = ranks[0]
-        need(len(big.plus) + len(big.minus) <= n,
-             f"ℓ(λ+)+ℓ(λ-) <= n fails: "
-             f"{len(big.plus) + len(big.minus)} > {n}")
-    else:
-        raise UnknownPair(pair)
-    return out
+    if rule_of(pair).kind == "diag":
+        return range_violations(pair, ranks, small=big)
+    return range_violations(pair, ranks, big=big)
 
 
 # ---------------------------------------------------------------------------
@@ -536,33 +508,29 @@ def _formula_value(q: BranchingQuery) -> int:
     raise UnknownPair(pair)
 
 
-def diagonal_multiplicity(q: BranchingQuery) -> int:
-    """Multiplicity of q.big in q.small[0] ⊗ q.small[1] (diagonal pairs)."""
-    if not q.pair.endswith("diag"):
-        raise UnknownPair(f"{q.pair} is not a diagonal pair")
+def _multiplicity_of_kind(q: BranchingQuery, kind: str, noun: str) -> int:
+    rule = PAIRS.get(q.pair)
+    if rule is None or rule.kind != kind:
+        raise UnknownPair(f"{q.pair} is not a {noun} pair")
     validate_stable_range(q)
     return _formula_value(q)
+
+
+def diagonal_multiplicity(q: BranchingQuery) -> int:
+    """Multiplicity of q.big in q.small[0] ⊗ q.small[1] (diagonal pairs)."""
+    return _multiplicity_of_kind(q, "diag", "diagonal")
 
 
 def direct_sum_multiplicity(q: BranchingQuery) -> int:
-    if not q.pair.endswith("sum"):
-        raise UnknownPair(f"{q.pair} is not a direct-sum pair")
-    validate_stable_range(q)
-    return _formula_value(q)
+    return _multiplicity_of_kind(q, "sum", "direct-sum")
 
 
 def polarization_multiplicity(q: BranchingQuery) -> int:
-    if q.pair not in ("gl-in-o", "gl-in-sp"):
-        raise UnknownPair(f"{q.pair} is not a polarization pair")
-    validate_stable_range(q)
-    return _formula_value(q)
+    return _multiplicity_of_kind(q, "polarization", "polarization")
 
 
 def bilinear_multiplicity(q: BranchingQuery) -> int:
-    if q.pair not in ("o-in-gl", "sp-in-gl"):
-        raise UnknownPair(f"{q.pair} is not a bilinear-form pair")
-    validate_stable_range(q)
-    return _formula_value(q)
+    return _multiplicity_of_kind(q, "bilinear", "bilinear-form")
 
 
 def branching_multiplicity(q: BranchingQuery, unsafe: bool = False) -> int:

@@ -314,7 +314,7 @@ def _dot(a, b) -> int:
     return sum(x * y for x, y in zip(a, b))
 
 
-def _dominant_candidates(g: GroupSpec, lam: Weight) -> list[Weight]:
+def dominant_candidates(g: GroupSpec, lam: Weight) -> list[Weight]:
     """Dominant vectors that could be weights of the irrep with highest
     weight lam.  Supersets are harmless: non-weights get multiplicity 0."""
     from .partitions import partitions_of
@@ -364,7 +364,7 @@ def weight_multiplicities(g: GroupSpec, weight) -> dict[Weight, int]:
     tr = two_rho(g)
     lam_norm = _dot(lam, lam) + _dot(lam, tr)
     mults: dict[Weight, int] = {lam: 1}
-    cands = [c for c in _dominant_candidates(g, lam) if c != lam]
+    cands = [c for c in dominant_candidates(g, lam) if c != lam]
     cands.sort(key=lambda m: _dot(m, tr), reverse=True)
     height_cap = _dot(lam, tr)
     for mu in cands:

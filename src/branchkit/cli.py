@@ -8,12 +8,14 @@ Exit codes: 0 success, 1 usage or parse error, 2 stable-range violation,
 
 If BRANCHKIT_CACHE names a file, the Littlewood-Richardson memo is loaded
 from it on startup and written back on exit; otherwise the cache is
-in-memory only.
+in-memory only.  A cache file that cannot be read, parsed or written draws
+a warning on stderr and is ignored; the exit code stays the command's own.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -23,11 +25,11 @@ from . import lr
 from .branching import (
     PAIR_IDS,
     RULE_ID,
-    TWO_RANK_PAIRS,
     branch_decompose,
     branching_multiplicity,
     decompose_range_violations,
     query,
+    rule_of,
     stable_range_violations,
 )
 from .errors import (
@@ -50,11 +52,6 @@ EXIT_USAGE = 1
 EXIT_STABLE_RANGE = 2
 EXIT_MISMATCH = 3
 
-# which sides carry GL labels, per pair
-_GL_BIG = {"gl-diag", "gl-sum", "o-in-gl", "sp-in-gl"}
-_GL_SMALL = {"gl-diag", "gl-sum", "gl-in-o", "gl-in-sp"}
-_TWO_SMALL = set(TWO_RANK_PAIRS) | {"gl-diag", "o-diag", "sp-diag"}
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -62,8 +59,8 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _parse_label(text: str, gl: bool):
-    return parse_gl_label(text) if gl else parse_partition(text)
+def _parse_label(text: str, family: str):
+    return parse_gl_label(text) if family == "GL" else parse_partition(text)
 
 
 def _format_label(data) -> str:
@@ -100,7 +97,7 @@ def _label_sort_key(key: str):
 
 
 def _ranks(args, pair) -> tuple:
-    if pair in TWO_RANK_PAIRS:
+    if rule_of(pair).kind == "sum":
         if args.m is None:
             raise ParseError(f"{pair} needs both -n and -m")
         return (args.n, args.m)
@@ -109,12 +106,11 @@ def _ranks(args, pair) -> tuple:
 
 def _build_query(args):
     pair = args.pair
-    if pair not in PAIR_IDS:
-        raise UnknownPair(pair)
+    rule = rule_of(pair)
     ranks = _ranks(args, pair)
-    big = _parse_label(args.big, pair in _GL_BIG)
-    smalls = [_parse_label(s, pair in _GL_SMALL) for s in args.small]
-    want = 2 if pair in _TWO_SMALL else 1
+    big = _parse_label(args.big, rule.big)
+    smalls = [_parse_label(s, rule.small) for s in args.small]
+    want = rule.small_count
     if len(smalls) != want:
         raise ParseError(f"{pair} expects {want} --small label(s)")
     return query(pair, ranks, big, smalls)
@@ -142,21 +138,19 @@ def cmd_branch(args) -> int:
 def cmd_decompose(args) -> int:
     t0 = time.perf_counter()
     pair = args.pair
-    if pair not in PAIR_IDS:
-        raise UnknownPair(pair)
+    rule = rule_of(pair)
     ranks = _ranks(args, pair)
-    if pair.endswith("diag"):
+    if rule.kind == "diag":
         if args.mu is None or args.nu is None:
             raise ParseError(f"{pair} decomposition needs --mu and --nu")
-        gl = pair == "gl-diag"
-        mu = _parse_label(args.mu, gl)
-        nu = _parse_label(args.nu, gl)
+        mu = _parse_label(args.mu, rule.small)
+        nu = _parse_label(args.nu, rule.small)
         big = (mu, nu)
         echo = {"mu": _format_label(mu), "nu": _format_label(nu)}
     else:
         if args.big is None:
             raise ParseError(f"{pair} decomposition needs --big")
-        big = _parse_label(args.big, pair in _GL_BIG)
+        big = _parse_label(args.big, rule.big)
         echo = {"big": _format_label(big)}
     violations = decompose_range_violations(pair, big, ranks)
     record = {"pair": pair, "ranks": list(ranks)}
@@ -201,8 +195,7 @@ def cmd_verify(args) -> int:
 
     pairs = PAIR_IDS if args.pair == "all" else (args.pair,)
     for p in pairs:
-        if p not in PAIR_IDS:
-            raise UnknownPair(p)
+        rule_of(p)
     failed = False
     reports = []
     for p in pairs:
@@ -302,14 +295,22 @@ def _load_cache(path: str):
             lr.load_cache_lines(fh)
     except FileNotFoundError:
         pass
+    except (OSError, ValueError) as exc:
+        print(f"warning: ignoring cache file {path}: {exc}", file=sys.stderr)
 
 
 def _save_cache(path: str):
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        for line in lr.dump_cache_lines():
-            fh.write(line + "\n")
-    os.replace(tmp, path)
+    # one temporary file per process, so concurrent runs never share one
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            for line in lr.dump_cache_lines():
+                fh.write(line + "\n")
+        os.replace(tmp, path)
+    except OSError as exc:
+        print(f"warning: cache file {path} not written: {exc}", file=sys.stderr)
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
 
 
 def main(argv=None) -> int:

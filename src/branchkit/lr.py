@@ -175,12 +175,15 @@ def dump_cache_lines():
 
 
 def load_cache_lines(lines) -> int:
-    """Load lines produced by dump_cache_lines; returns entries loaded."""
+    """Load lines produced by dump_cache_lines; returns entries loaded.
+
+    Raises ValueError on a line that does not parse, and then loads
+    nothing: the memo takes the lines all together or not at all."""
 
     def parse(part: str) -> Partition:
         return tuple(int(x) for x in part.split(".")) if part else ()
 
-    n = 0
+    loaded: dict[tuple[Partition, Partition], dict[Partition, int]] = {}
     for line in lines:
         line = line.strip()
         if not line:
@@ -191,6 +194,6 @@ def load_cache_lines(lines) -> int:
             for item in entries_s.split(","):
                 nu_s, c_s = item.split(":")
                 expansion[parse(nu_s)] = int(c_s)
-        _SKEW_CACHE[(parse(outer_s), parse(inner_s))] = expansion
-        n += 1
-    return n
+        loaded[(parse(outer_s), parse(inner_s))] = expansion
+    _SKEW_CACHE.update(loaded)
+    return len(loaded)

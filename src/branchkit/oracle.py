@@ -22,8 +22,9 @@ equality, but query entry points refuse such labels outright.
 from __future__ import annotations
 
 from math import comb
+from types import MappingProxyType
 
-from .branching import BranchingQuery, RepLabel
+from .branching import BranchingQuery, RepLabel, rule_of
 from .characters import (
     GL,
     GroupSpec,
@@ -32,6 +33,7 @@ from .characters import (
     Weight,
     decompose_character,
     dim_of_weight,
+    dominant_candidates,
     full_weight_support,
     is_dominant,
     restrict_character,
@@ -136,36 +138,6 @@ def dim_irrep(label: RepLabel) -> int:
 # tensor-product decomposition via dominant-sector convolution
 
 
-def _tensor_candidates(g: GroupSpec, w1: Weight, w2: Weight):
-    n = g.torus_rank
-    if g.family == "GL":
-
-        def pos_budget(w):
-            run = best = 0
-            for x in w:
-                run += x
-                best = max(best, run)
-            return best
-
-        pos = pos_budget(w1) + pos_budget(w2)
-        total = sum(w1) + sum(w2)
-        for psize in range(max(total, 0), pos + 1):
-            msize = psize - total
-            for pp in partitions_of(psize, max_length=n):
-                for mm in partitions_of(msize, max_length=n - len(pp)):
-                    yield (pp + (0,) * (n - len(pp) - len(mm))
-                           + tuple(-x for x in reversed(mm)))
-        return
-    s = sum(abs(x) for x in w1) + sum(abs(x) for x in w2)
-    step = 1 if g.family == "SOOdd" else 2
-    for t in range(s, -1, -step):
-        for pp in partitions_of(t, max_length=n):
-            v = pp + (0,) * (n - len(pp))
-            yield v
-            if g.family == "SOEven" and len(pp) == n:
-                yield v[:-1] + (-v[-1],)
-
-
 def decompose_tensor(g: GroupSpec, w1: Weight, w2: Weight) -> dict[Weight, int]:
     """Irreducible content of the product character chi_{w1}·chi_{w2}.
 
@@ -181,7 +153,8 @@ def decompose_tensor(g: GroupSpec, w1: Weight, w2: Weight) -> dict[Weight, int]:
     supp = list(full_weight_support(g, w1).items())
     other = full_weight_support(g, w2)
     rem: dict[Weight, int] = {}
-    for w in _tensor_candidates(g, w1, w2):
+    # every constituent lies below w1+w2 in dominance order
+    for w in dominant_candidates(g, tuple(a + b for a, b in zip(w1, w2))):
         c = 0
         for u, cu in supp:
             cv = other.get(tuple(a - b for a, b in zip(w, u)))
@@ -277,16 +250,17 @@ def _sum_pair_decompose(
 _ORACLE_CACHE: dict = {}
 
 
-def oracle_decomposition(pair: str, ranks: tuple, big) -> dict:
+def oracle_decomposition(pair: str, ranks: tuple, big) -> MappingProxyType:
     """Full decomposition map for one big representation, keyed by small
-    label data ((GLLabel | Partition) or pairs thereof)."""
+    label data ((GLLabel | Partition) or pairs thereof).  The map is a
+    read-only view of the memo's entry."""
     if pair.endswith("diag"):
         big = tuple(sorted(big))  # tensor factors commute
     key = (pair, tuple(ranks), big)
     cached = _ORACLE_CACHE.get(key)
     if cached is not None:
         return cached
-    out = _oracle_decomposition(pair, ranks, big)
+    out = MappingProxyType(_oracle_decomposition(pair, ranks, big))
     _ORACLE_CACHE[key] = out
     return out
 
@@ -323,16 +297,8 @@ def _oracle_decomposition(pair: str, ranks: tuple, big) -> dict:
         lam = big
         g_big = GL(n + m)
         wbig = gl_weight(lam, n + m)
-
-        def budget(w):
-            run = best = 0
-            for x in w:
-                run += x
-                best = max(best, run)
-            return best
-
-        pos = budget(wbig)
-        neg = pos - sum(wbig)
+        # λ's positive and negative sizes bound those of every factor weight
+        pos, neg = sum(lam.plus), sum(lam.minus)
 
         def cand_gl(g):
             for psize in range(0, pos + 1):
@@ -411,18 +377,13 @@ def _oracle_decomposition(pair: str, ranks: tuple, big) -> dict:
         restricted = restrict_character(chi, pair, (n,))
         raw = decompose_character(restricted, GL(n))
         return {weight_to_gl_label(w): m for w, m in raw.items()}
-    if pair == "o-in-gl":
+    if pair in ("o-in-gl", "sp-in-gl"):
         n = ranks[0]
-        lam = big
-        chi = dict(full_weight_support(GL(n), gl_weight(lam, n)))
+        big_n = rule_of(pair).big_scale * n
+        chi = dict(full_weight_support(GL(big_n), gl_weight(big, big_n)))
         restricted = restrict_character(chi, pair, (n,))
-        raw = decompose_character(restricted, SO(n))
-        return _translate_so_map(raw, n)
-    if pair == "sp-in-gl":
-        n = ranks[0]
-        lam = big
-        chi = dict(full_weight_support(GL(2 * n), gl_weight(lam, 2 * n)))
-        restricted = restrict_character(chi, pair, (n,))
+        if pair == "o-in-gl":
+            return _translate_so_map(decompose_character(restricted, SO(n)), n)
         raw = decompose_character(restricted, Sp(n))
         return {_strip(w): m for w, m in raw.items()}
     raise UnknownPair(pair)
@@ -434,37 +395,20 @@ def oracle_multiplicity(q: BranchingQuery) -> int:
     Orthogonal labels must sit in the safe regime; ranks are taken from the
     query's labels.
     """
-    pair = q.pair
-    if pair in ("gl-diag", "o-diag", "sp-diag"):
-        n = q.big.rank
-        mu, nu = q.small[0].data, q.small[1].data
-        target = q.big.data
-        if pair == "o-diag" and 2 * len(target) >= n:
+    kind = rule_of(q.pair).kind
+    if kind == "diag":
+        given, looked_up = tuple(s.data for s in q.small), (q.big,)
+    else:
+        given, looked_up = q.big.data, q.small
+    # check the labels looked up in the decomposition and a sum pair's big
+    # label; the other pipelines check the labels they read themselves
+    for lab in looked_up + ((q.big,) if kind == "sum" else ()):
+        if lab.family == "O" and 2 * len(lab.data) >= lab.rank:
             raise OutOfSafeRegime(
-                f"O label {target} at n={n}: need ℓ(λ) < n/2")
-        dec = oracle_decomposition(pair, (n,), (mu, nu))
-        return dec.get(target, 0)
-    if pair in ("gl-sum", "o-sum", "sp-sum"):
-        n, m = q.small[0].rank, q.small[1].rank
-        if pair == "o-sum":
-            for lab in (q.small[0], q.small[1]):
-                if 2 * len(lab.data) >= lab.rank:
-                    raise OutOfSafeRegime(f"O label {lab.data} at n={lab.rank}")
-            if 2 * len(q.big.data) >= n + m:
-                raise OutOfSafeRegime(f"O label {q.big.data} at n={n + m}")
-        dec = oracle_decomposition(pair, (n, m), q.big.data)
-        return dec.get((q.small[0].data, q.small[1].data), 0)
-    if pair in ("gl-in-o", "gl-in-sp"):
-        n = q.small[0].rank
-        dec = oracle_decomposition(pair, (n,), q.big.data)
-        return dec.get(q.small[0].data, 0)
-    if pair in ("o-in-gl", "sp-in-gl"):
-        n = q.small[0].rank
-        if pair == "o-in-gl" and 2 * len(q.small[0].data) >= n:
-            raise OutOfSafeRegime(f"O label {q.small[0].data} at n={n}")
-        dec = oracle_decomposition(pair, (n,), q.big.data)
-        return dec.get(q.small[0].data, 0)
-    raise UnknownPair(pair)
+                f"O label {lab.data} at n={lab.rank}: need ℓ(λ) < n/2")
+    key = tuple(lab.data for lab in looked_up)
+    dec = oracle_decomposition(q.pair, q.ranks, given)
+    return dec.get(key if kind == "sum" else key[0], 0)
 
 
 # ---------------------------------------------------------------------------

@@ -59,14 +59,6 @@ def format_partition(p: Partition) -> str:
     return "[" + ",".join(str(x) for x in p) + "]"
 
 
-def size(p: Partition) -> int:
-    return sum(p)
-
-
-def length(p: Partition) -> int:
-    return len(p)
-
-
 def conjugate(p: Partition) -> Partition:
     """Transpose of the Young diagram: (p')_i = #{j : p_j >= i}."""
     if not p:

@@ -69,6 +69,57 @@ class TestValidation:
         assert decompose_range_violations("gl-sum", L((1,)), (1, 1)) == []
 
 
+# one failing query per pair: (pair, ranks, big, small, the exact
+# stable_range_violations list, the exact decompose_range_violations list
+# for the decomposed side: the tensor factors for the diagonal pairs, the
+# big label otherwise)
+VIOLATION_TEXTS = [
+    ("gl-diag", (2,), L((1, 1, 1), (1, 1)), [L((1,), (1,)), L((1,))],
+     ["n >= p+q+r+s fails: 2 < 1+1+1+0", "ℓ(λ+) <= p+r fails: 3 > 2",
+      "ℓ(λ-) <= q+s fails: 2 > 1"],
+     ["n >= p+q+r+s fails: 2 < 3"]),
+    ("o-diag", (3,), (1, 1), [(1,), (1,)],
+     ["ℓ(λ) <= ⌊n/2⌋ fails: 2 > 1", "ℓ(μ)+ℓ(ν) <= ⌊n/2⌋ fails: 2 > 1"],
+     ["ℓ(μ)+ℓ(ν) <= ⌊n/2⌋ fails: 2 > 1"]),
+    ("sp-diag", (1,), (1, 1), [(1,), (1,)],
+     ["ℓ(λ) <= n fails: 2 > 1", "ℓ(μ)+ℓ(ν) <= n fails: 2 > 1"],
+     ["ℓ(μ)+ℓ(ν) <= n fails: 2 > 1"]),
+    ("gl-sum", (1, 2), L((1, 1), (1,)), [L((1,)), L(E)],
+     ["p+q <= min(n,m) fails: 2+1 > 1"],
+     ["ℓ(λ+)+ℓ(λ-) <= min(n,m) fails: 3 > 1"]),
+    ("o-sum", (2, 3), (1, 1), [(1, 1), (1, 1)],
+     ["ℓ(λ) <= ½min(n,m) fails: 2 > 2/2", "ℓ(μ) <= ½min(n,m) fails: 2 > 2/2",
+      "ℓ(ν) <= ½min(n,m) fails: 2 > 2/2"],
+     ["ℓ(λ) <= ½min(n,m) fails: 2 > 2/2"]),
+    ("sp-sum", (1, 2), (1, 1), [(1, 1), (1, 1)],
+     ["ℓ(λ) <= min(n,m) fails: 2 > 1", "ℓ(μ) <= min(n,m) fails: 2 > 1",
+      "ℓ(ν) <= min(n,m) fails: 2 > 1"],
+     ["ℓ(λ) <= min(n,m) fails: 2 > 1"]),
+    ("gl-in-o", (3,), (1, 1), [L((1, 1), (1, 1))],
+     ["ℓ(λ) <= ⌊n/2⌋ fails: 2 > 1", "ℓ(μ+) <= ⌊n/2⌋ fails: 2 > 1",
+      "ℓ(μ-) <= ⌊n/2⌋ fails: 2 > 1"],
+     ["ℓ(λ) <= ⌊n/2⌋ fails: 2 > 1"]),
+    ("gl-in-sp", (3,), (1, 1), [L((1, 1), (1, 1))],
+     ["ℓ(λ) <= ⌊n/2⌋ fails: 2 > 1", "ℓ(μ+) <= ⌊n/2⌋ fails: 2 > 1",
+      "ℓ(μ-) <= ⌊n/2⌋ fails: 2 > 1"],
+     ["ℓ(λ) <= ⌊n/2⌋ fails: 2 > 1"]),
+    ("o-in-gl", (3,), L((1,), (1,)), [(1, 1)],
+     ["ℓ(λ+)+ℓ(λ-) <= n/2 fails: 2 > 3/2", "ℓ(μ) <= ⌊n/2⌋ fails: 2 > 1"],
+     ["ℓ(λ+)+ℓ(λ-) <= n/2 fails: 2 > 3/2"]),
+    ("sp-in-gl", (1,), L((1,), (1,)), [(1, 1)],
+     ["ℓ(λ+)+ℓ(λ-) <= n fails: 2 > 1", "ℓ(μ) <= n fails: 2 > 1"],
+     ["ℓ(λ+)+ℓ(λ-) <= n fails: 2 > 1"]),
+]
+
+
+@pytest.mark.parametrize("pair,ranks,big,small,stable,decompose",
+                         VIOLATION_TEXTS, ids=[c[0] for c in VIOLATION_TEXTS])
+def test_violation_texts(pair, ranks, big, small, stable, decompose):
+    assert stable_range_violations(query(pair, ranks, big, small)) == stable
+    side = tuple(small) if pair.endswith("diag") else big
+    assert decompose_range_violations(pair, side, ranks) == decompose
+
+
 class TestDiagonal:
     def test_gl_example(self):
         q = query("gl-diag", (4,), L((2,)), [L((1,)), L((1,))])

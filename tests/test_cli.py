@@ -137,6 +137,35 @@ def test_cache_env_roundtrip(tmp_path, monkeypatch, capsys):
     assert code == 0 and json.loads(out)["result"] == 2
 
 
+def test_unparsable_cache_is_ignored(tmp_path, monkeypatch, capsys):
+    from branchkit import lr
+
+    # the first line parses but holds a wrong value; the file is loaded
+    # all together or not at all, so it must not reach the memo either
+    cache = tmp_path / "lr-cache.txt"
+    cache.write_text("3.2.1|2.1|2.1:7,3:1\n3.2.1|2.1|garbage\n")
+    monkeypatch.setenv("BRANCHKIT_CACHE", str(cache))
+    lr.clear_cache()
+    code, out, err = run_cli(capsys, "lr", "--outer", "[3,2,1]",
+                             "--left", "[2,1]", "--right", "[2,1]")
+    assert code == 0 and json.loads(out)["result"] == 2
+    assert err.startswith("warning:")
+
+
+def test_unwritable_cache_keeps_exit_code(tmp_path, monkeypatch, capsys):
+    cache = tmp_path / "missing-dir" / "lr-cache.txt"
+    monkeypatch.setenv("BRANCHKIT_CACHE", str(cache))
+    code, out, err = run_cli(capsys, "lr", "--outer", "[3,2,1]",
+                             "--left", "[2,1]", "--right", "[2,1]")
+    assert code == 0 and json.loads(out)["result"] == 2
+    assert err.startswith("warning:")
+    assert not (tmp_path / "missing-dir").exists()
+    code, _, err = run_cli(capsys, "branch", "--pair", "o-diag", "-n", "3",
+                           "--big", "[1]", "--small", "[1]", "[1]")
+    assert code == 2
+    assert "warning:" in err and "2.1.2" in err
+
+
 def test_console_entry_point_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "branchkit", "lr", "--outer", "[2,1]",

@@ -1,8 +1,9 @@
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from branchkit import lr_coeff, skew_expand, tensor_expand
+from branchkit import littlewood_restriction, lr_coeff, skew_expand, tensor_expand
 from branchkit.lr import (
     clear_cache,
     dump_cache_lines,
@@ -124,3 +125,10 @@ def test_cache_roundtrip():
     n = load_cache_lines(lines)
     assert n == len(lines)
     assert lr_coeff((3, 2, 1), (2, 1), (2, 1)) == 2
+
+
+def test_public_skew_expand_is_read_only():
+    view = skew_expand((2, 1), (1,))
+    with pytest.raises(TypeError):
+        view[(2,)] = 99
+    assert littlewood_restriction((2, 1), (1,), "O", 6) == 1

@@ -161,3 +161,12 @@ def test_o_diag_self_associate_folding():
     from branchkit.branching import branch_decompose
 
     assert branch_decompose("o-diag", ((1, 1, 1), (1, 1, 1)), (12,)) == dec
+
+
+def test_oracle_decomposition_is_read_only():
+    q = query("o-in-gl", (6,), L((2,)), [(2,)])
+    assert oracle_multiplicity(q) == 1
+    dec = oracle_decomposition("o-in-gl", (6,), L((2,)))
+    with pytest.raises(TypeError):
+        dec[(2,)] = 5
+    assert oracle_multiplicity(q) == 1
