@@ -19,8 +19,12 @@ Pair identifiers (the external interface):
     sp-in-gl  Sp_2n ⊂ GL_2n               (invariant bilinear form)
 
 ``PAIRS`` is the one place per-pair facts live: the rule's kind and number,
-the label families on each side and the big label's rank.  Each pair's
-stable-range inequalities are written once, in range_violations.
+the label families on each side, the big label's rank and which even
+shapes its sum keeps.  Every per-pair choice (formula, stable range,
+decomposition caps, and in the other modules the oracle pipeline, the
+torus restriction and the verification grid) reads the pair's rule, never
+its id.  Each pair's stable-range inequalities are written once, in
+range_violations.
 
 For the diagonal pairs a query carries the two tensor factors as ``small``
 and the target constituent as ``big``; for all other pairs ``big`` is the
@@ -57,15 +61,17 @@ from .partitions import (
 
 class PairRule(NamedTuple):
     """The facts a rule is stated with: its kind, its number, the label
-    families on each side and how the big label's rank follows from n.
-    A NamedTuple rather than a frozen dataclass: just as immutable, and
-    about 1 ms cheaper to create at import."""
+    families on each side, how the big label's rank follows from n and
+    which even shapes its sum keeps.  A NamedTuple rather than a frozen
+    dataclass: just as immutable, and about 1 ms cheaper to create at
+    import."""
 
     kind: str  # "diag" | "sum" | "polarization" | "bilinear"
     rule_id: str
     big: str  # family of the big label: "GL" | "O" | "Sp"
     small: str  # family of each small label
     big_scale: int = 1  # the big rank is big_scale·n outside the sum rules
+    even: str | None = None  # "rows" | "columns": the 2δ its sum runs over
 
     @property
     def small_count(self) -> int:
@@ -77,12 +83,14 @@ PAIRS = {
     "o-diag": PairRule("diag", "2.1.2", "O", "O"),
     "sp-diag": PairRule("diag", "2.1.3", "Sp", "Sp"),
     "gl-sum": PairRule("sum", "2.2.1", "GL", "GL"),
-    "o-sum": PairRule("sum", "2.2.2", "O", "O"),
-    "sp-sum": PairRule("sum", "2.2.3", "Sp", "Sp"),
-    "gl-in-o": PairRule("polarization", "2.3.1", "O", "GL", big_scale=2),
-    "gl-in-sp": PairRule("polarization", "2.3.2", "Sp", "GL"),
-    "o-in-gl": PairRule("bilinear", "2.4.1", "GL", "O"),
-    "sp-in-gl": PairRule("bilinear", "2.4.2", "GL", "Sp", big_scale=2),
+    "o-sum": PairRule("sum", "2.2.2", "O", "O", even="rows"),
+    "sp-sum": PairRule("sum", "2.2.3", "Sp", "Sp", even="columns"),
+    "gl-in-o": PairRule("polarization", "2.3.1", "O", "GL", big_scale=2,
+                        even="columns"),
+    "gl-in-sp": PairRule("polarization", "2.3.2", "Sp", "GL", even="rows"),
+    "o-in-gl": PairRule("bilinear", "2.4.1", "GL", "O", even="rows"),
+    "sp-in-gl": PairRule("bilinear", "2.4.2", "GL", "Sp", big_scale=2,
+                         even="columns"),
 }
 
 PAIR_IDS = tuple(PAIRS)
@@ -99,6 +107,12 @@ def rule_of(pair: str) -> PairRule:
     if rule is None:
         raise UnknownPair(pair)
     return rule
+
+
+def torus_rank(family: str, n: int) -> int:
+    """The rank of a maximal torus of the family's group at rank n: ⌊n/2⌋
+    for O_n, n for GL_n and Sp_2n."""
+    return n // 2 if family == "O" else n
 
 
 @dataclass(frozen=True)
@@ -216,7 +230,7 @@ def range_violations(pair: str, ranks, big=None, small=None) -> list[str]:
         need(2 * value <= bound if halved else value <= bound,
              f"{name} <= {bound_name} fails: {value} > {shown}")
 
-    if pair == "gl-diag":
+    if kind == "diag" and rule.small == "GL":
         if small is not None:
             mu, nu = small
             p, q, r, s = len(mu.plus), len(mu.minus), len(nu.plus), len(nu.minus)
@@ -230,7 +244,7 @@ def range_violations(pair: str, ranks, big=None, small=None) -> list[str]:
             at_most("ℓ(λ)", len(big), cap_text, cap)
         if small is not None:
             at_most("ℓ(μ)+ℓ(ν)", len(small[0]) + len(small[1]), cap_text, cap)
-    elif pair == "gl-sum":
+    elif kind == "sum" and rule.small == "GL":
         low = min(ranks[0], ranks[1])
         if big is not None:
             labels = (big,) + tuple(small or ())
@@ -244,7 +258,7 @@ def range_violations(pair: str, ranks, big=None, small=None) -> list[str]:
         for name, part in zip("λμν", (big,) + tuple(small or (None, None))):
             if part is None:
                 continue
-            if pair == "o-sum":
+            if rule.small == "O":
                 at_most(f"ℓ({name})", len(part), "½min(n,m)", low, halved=True)
             else:
                 at_most(f"ℓ({name})", len(part), "min(n,m)", low)
@@ -259,7 +273,7 @@ def range_violations(pair: str, ranks, big=None, small=None) -> list[str]:
         # n >= ℓ(λ+)+ℓ(λ-) for Sp, stronger than bounding each length alone
         if big is not None:
             k = len(big.plus) + len(big.minus)
-            if pair == "o-in-gl":
+            if rule.small == "O":
                 at_most("ℓ(λ+)+ℓ(λ-)", k, "n/2", n, halved=True)
             else:
                 at_most("ℓ(λ+)+ℓ(λ-)", k, "n", n)
@@ -484,28 +498,19 @@ def littlewood_restriction(
 
 
 def _formula_value(q: BranchingQuery) -> int:
-    pair = q.pair
-    if pair == "gl-diag":
-        return diagonal_gl_sum(q.big.data, q.small[0].data, q.small[1].data)
-    if pair in ("o-diag", "sp-diag"):
-        return diagonal_onsp_sum(q.big.data, q.small[0].data, q.small[1].data)
-    if pair == "gl-sum":
-        return direct_sum_gl_sum(q.big.data, q.small[0].data, q.small[1].data)
-    if pair == "o-sum":
-        return direct_sum_onsp_sum(
-            q.big.data, q.small[0].data, q.small[1].data, "rows")
-    if pair == "sp-sum":
-        return direct_sum_onsp_sum(
-            q.big.data, q.small[0].data, q.small[1].data, "columns")
-    if pair == "gl-in-o":
-        return polarization_sum(q.big.data, q.small[0].data, "columns")
-    if pair == "gl-in-sp":
-        return polarization_sum(q.big.data, q.small[0].data, "rows")
-    if pair == "o-in-gl":
-        return bilinear_sum(q.big.data, q.small[0].data, "rows")
-    if pair == "sp-in-gl":
-        return bilinear_sum(q.big.data, q.small[0].data, "columns")
-    raise UnknownPair(pair)
+    rule = rule_of(q.pair)
+    big, small = q.big.data, [s.data for s in q.small]
+    if rule.kind == "diag":
+        if rule.big == "GL":
+            return diagonal_gl_sum(big, *small)
+        return diagonal_onsp_sum(big, *small)
+    if rule.kind == "sum":
+        if rule.big == "GL":
+            return direct_sum_gl_sum(big, *small)
+        return direct_sum_onsp_sum(big, *small, rule.even)
+    if rule.kind == "polarization":
+        return polarization_sum(big, *small, rule.even)
+    return bilinear_sum(big, *small, rule.even)
 
 
 def _multiplicity_of_kind(q: BranchingQuery, kind: str, noun: str) -> int:
@@ -559,8 +564,7 @@ def branch_decompose(pair: str, big, ranks=None, bound: int | None = None) -> di
     The big side must itself satisfy the rule's hypotheses at ``ranks``
     (use validate_stable_range on a query first if unsure).
     """
-    if pair not in PAIR_IDS:
-        raise UnknownPair(pair)
+    rule = rule_of(pair)
     out: dict = {}
 
     def keep(key, value):
@@ -571,7 +575,7 @@ def branch_decompose(pair: str, big, ranks=None, bound: int | None = None) -> di
         hi = total if bound is None else min(total, bound)
         return range(hi, -1, -1)
 
-    if pair == "gl-diag":
+    if rule.kind == "diag" and rule.big == "GL":
         mu, nu = big
         n = ranks[0]
         splus = sum(mu.plus) + sum(nu.plus)
@@ -587,18 +591,16 @@ def branch_decompose(pair: str, big, ranks=None, bound: int | None = None) -> di
                         continue
                     lam = GLLabel(lp, lm)
                     keep(lam, diagonal_gl_sum(lam, mu, nu))
-    elif pair in ("o-diag", "sp-diag"):
+    elif rule.kind == "diag":
         mu, nu = big
-        n = ranks[0]
         total = sum(mu) + sum(nu)
-        len_cap = len(mu) + len(nu)
-        len_cap = min(len_cap, n // 2 if pair == "o-diag" else n)
+        len_cap = min(len(mu) + len(nu), torus_rank(rule.small, ranks[0]))
         for s in sizes(total):
             if (total - s) % 2:
                 continue
             for lam in partitions_of(s, max_length=len_cap):
                 keep(lam, diagonal_onsp_sum(lam, mu, nu))
-    elif pair == "gl-sum":
+    elif rule.kind == "sum" and rule.big == "GL":
         lam = big
         for mu_p in subpartitions(lam.plus):
             for nu_p in subpartitions(lam.plus):
@@ -620,9 +622,8 @@ def branch_decompose(pair: str, big, ranks=None, bound: int | None = None) -> di
                         ):
                             continue
                         keep((mu, nu), direct_sum_gl_sum(lam, mu, nu))
-    elif pair in ("o-sum", "sp-sum"):
+    elif rule.kind == "sum":
         lam = big
-        mode = "rows" if pair == "o-sum" else "columns"
         for mu in subpartitions(lam):
             if bound is not None and sum(mu) > bound:
                 continue
@@ -633,12 +634,10 @@ def branch_decompose(pair: str, big, ranks=None, bound: int | None = None) -> di
                     continue
                 if bound is not None and sum(nu) > bound:
                     continue
-                keep((mu, nu), direct_sum_onsp_sum(lam, mu, nu, mode))
-    elif pair in ("gl-in-o", "gl-in-sp"):
+                keep((mu, nu), direct_sum_onsp_sum(lam, mu, nu, rule.even))
+    elif rule.kind == "polarization":
         lam = big
-        n = ranks[0]
-        mode = "columns" if pair == "gl-in-o" else "rows"
-        len_cap = n // 2
+        len_cap = ranks[0] // 2
         for mu_p in subpartitions(lam):
             if len(mu_p) > len_cap:
                 continue
@@ -651,18 +650,16 @@ def branch_decompose(pair: str, big, ranks=None, bound: int | None = None) -> di
                 if bound is not None and s > bound:
                     continue
                 mu = GLLabel(mu_p, mu_m)
-                keep(mu, polarization_sum(lam, mu, mode))
-    else:  # o-in-gl, sp-in-gl
+                keep(mu, polarization_sum(lam, mu, rule.even))
+    else:  # bilinear
         lam = big
-        n = ranks[0]
-        mode = "rows" if pair == "o-in-gl" else "columns"
         len_cap = min(len(lam.plus) + len(lam.minus),
-                      n // 2 if pair == "o-in-gl" else n)
+                      torus_rank(rule.small, ranks[0]))
         total = lam.total_size()
         width = (lam.plus[0] if lam.plus else 0) + (lam.minus[0] if lam.minus else 0)
         for s in sizes(total):
             if (total - s) % 2:
                 continue
             for mu in partitions_of(s, max_part=width or None, max_length=len_cap):
-                keep(mu, bilinear_sum(lam, mu, mode))
+                keep(mu, bilinear_sum(lam, mu, rule.even))
     return out

@@ -12,9 +12,14 @@ Two independent routes produce them:
   * weight_multiplicities + orbit expansion: Freudenthal's recursion on
     dominant weights.  Scales to the ranks the verification grids need.
 
-The two are cross-checked against each other in the test suite, and
-decompose_character re-verifies every decomposition by rebuilding its input
-from Freudenthal weight systems.
+The two are cross-checked against each other in the test suite.
+
+greedy_decompose is the one highest-weight subtraction loop: every oracle
+decomposition (decompose_character here, and in the oracle the tensor
+products and the direct-sum pairs) runs it, each caller keeping its own
+check.  decompose_character re-verifies every decomposition by rebuilding
+its input from Freudenthal weight systems.  restrict_character reads the
+embedding from the pair's rule in branching.PAIRS.
 
 Families: "GL" (torus rank n), "Sp" (Sp of rank n), "SOOdd" (SO(2n+1)),
 "SOEven" (SO(2n)).
@@ -26,10 +31,11 @@ immutable keys, so concurrent use at worst recomputes an entry.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import permutations, product
 
-from .errors import ExactnessError, NotACharacter, NotDominant, UnknownPair
+from .branching import rule_of, torus_rank
+from .errors import ExactnessError, NotACharacter, NotDominant
+from .partitions import partitions_of
 
 Weight = tuple[int, ...]
 LaurentPoly = dict[Weight, int]
@@ -314,13 +320,29 @@ def _dot(a, b) -> int:
     return sum(x * y for x, y in zip(a, b))
 
 
+def dominant_weights(g: GroupSpec, sizes):
+    """Dominant vectors of g, size by size.  For GL a size is a pair (sum
+    of the positive entries, sum of the negated negative ones); for the
+    other families it is the sum of the absolute values."""
+    n = g.torus_rank
+    for size in sizes:
+        if g.family == "GL":
+            psize, msize = size
+            for pp in partitions_of(psize, max_length=n):
+                for mm in partitions_of(msize, max_length=n - len(pp)):
+                    yield (pp + (0,) * (n - len(pp) - len(mm))
+                           + tuple(-x for x in reversed(mm)))
+            continue
+        for pp in partitions_of(size, max_length=n):
+            padded = pp + (0,) * (n - len(pp))
+            yield padded
+            if g.family == "SOEven" and len(pp) == n:
+                yield padded[:-1] + (-padded[-1],)
+
+
 def dominant_candidates(g: GroupSpec, lam: Weight) -> list[Weight]:
     """Dominant vectors that could be weights of the irrep with highest
     weight lam.  Supersets are harmless: non-weights get multiplicity 0."""
-    from .partitions import partitions_of
-
-    n = g.torus_rank
-    cands: list[Weight] = []
     if g.family == "GL":
         pos_budget = 0
         run = 0
@@ -328,24 +350,11 @@ def dominant_candidates(g: GroupSpec, lam: Weight) -> list[Weight]:
             run += x
             pos_budget = max(pos_budget, run)
         total = sum(lam)
-        for psize in range(max(total, 0), pos_budget + 1):
-            msize = psize - total
-            for pp in partitions_of(psize, max_length=n):
-                for mm in partitions_of(msize, max_length=n - len(pp)):
-                    cands.append(
-                        pp + (0,) * (n - len(pp) - len(mm))
-                        + tuple(-x for x in reversed(mm))
-                    )
-        return cands
-    total = sum(abs(x) for x in lam)
-    step = 1 if g.family == "SOOdd" else 2
-    for s in range(total, -1, -step):
-        for pp in partitions_of(s, max_length=n):
-            padded = pp + (0,) * (n - len(pp))
-            cands.append(padded)
-            if g.family == "SOEven" and len(pp) == n:
-                cands.append(padded[:-1] + (-padded[-1],))
-    return cands
+        sizes = ((p, p - total) for p in range(max(total, 0), pos_budget + 1))
+    else:
+        total = sum(abs(x) for x in lam)
+        sizes = range(total, -1, -1 if g.family == "SOOdd" else -2)
+    return list(dominant_weights(g, sizes))
 
 
 _FREUD_CACHE: dict[tuple[str, int, Weight], dict[Weight, int]] = {}
@@ -457,12 +466,14 @@ def dim_of_weight(g: GroupSpec, weight) -> int:
     w = ensure_dominant(g, weight)
     tr = two_rho(g)
     doubled = tuple(2 * x + r for x, r in zip(w, tr))
-    d = Fraction(1)
+    num = den = 1
     for alpha in positive_roots(g):
-        d *= Fraction(_dot(doubled, alpha), _dot(tr, alpha))
-    if d.denominator != 1:
+        num *= _dot(doubled, alpha)
+        den *= _dot(tr, alpha)
+    d, rest = divmod(num, den)
+    if rest:
         raise ExactnessError("Weyl dimension formula gave a non-integer")
-    return int(d)
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -475,6 +486,7 @@ def restrict_character(chi: LaurentPoly, pair: str, ranks) -> LaurentPoly:
     ``ranks`` is (n,) or (n, m) in the pair's own convention.  The input
     lives on the big group's torus; the output on the subgroup's.
     """
+    rule = rule_of(pair)
     out: LaurentPoly = {}
 
     def emit(key: Weight, c: int):
@@ -484,39 +496,31 @@ def restrict_character(chi: LaurentPoly, pair: str, ranks) -> LaurentPoly:
         else:
             del out[key]
 
-    if pair in ("gl-diag", "o-diag", "sp-diag"):
-        n = ranks[0]
-        k = n // 2 if pair == "o-diag" else n
+    if rule.kind == "diag":
+        k = torus_rank(rule.small, ranks[0])
         for e, c in chi.items():
             if len(e) != 2 * k:
                 raise ValueError("character does not live on the product torus")
             emit(tuple(x + y for x, y in zip(e[:k], e[k:])), c)
-    elif pair in ("gl-sum", "o-sum", "sp-sum"):
+    elif rule.kind == "sum":
         n, m = ranks
-        if pair == "gl-sum":
-            a, b, big = n, m, n + m
-        elif pair == "sp-sum":
-            a, b, big = n, m, n + m
-        else:
-            a, b, big = n // 2, m // 2, (n + m) // 2
+        a, b = torus_rank(rule.small, n), torus_rank(rule.small, m)
+        big = torus_rank(rule.big, n + m)
         for e, c in chi.items():
             if len(e) != big:
                 raise ValueError("character does not live on the big torus")
             # first factor's coordinates, then the second's; a leftover
             # coordinate (odd-odd orthogonal split) is evaluated at 1
             emit(e[:a] + e[a:a + b], c)
-    elif pair in ("gl-in-o", "gl-in-sp"):
+    elif rule.kind == "polarization":
         out = dict(chi)  # identical torus, re-read as GL_n
-    elif pair in ("o-in-gl", "sp-in-gl"):
-        n = ranks[0]
-        big = n if pair == "o-in-gl" else 2 * n
+    else:  # bilinear: GL_big ⊃ O_n or Sp_2n, each x_i paired with 1/x_i
+        big = rule.big_scale * ranks[0]
         k = big // 2
         for e, c in chi.items():
             if len(e) != big:
                 raise ValueError("character does not live on the big torus")
             emit(tuple(e[i] - e[big - 1 - i] for i in range(k)), c)
-    else:
-        raise UnknownPair(pair)
     return out
 
 
@@ -524,16 +528,43 @@ def restrict_character(chi: LaurentPoly, pair: str, ranks) -> LaurentPoly:
 # decomposition into irreducible characters
 
 
+def greedy_decompose(rem: dict, system) -> dict:
+    """Greedy highest-weight subtraction on a dominant-sector remainder.
+
+    Repeatedly takes the lexicographically greatest key left in ``rem``,
+    records its coefficient as that irreducible's multiplicity and
+    subtracts that many copies of ``system(key)``, the irreducible's
+    dominant weight system (for a product group, the product of its
+    factors' systems).  Consumes ``rem``; a negative coefficient raises
+    NotACharacter.
+    """
+    out: dict = {}
+    while rem:
+        w = max(rem)
+        m = rem.pop(w)
+        if m < 0:
+            raise NotACharacter(f"negative multiplicity {m} at {w}")
+        out[w] = m
+        for u, mu in system(w).items():
+            if u == w:
+                continue
+            v = rem.get(u, 0) - m * mu
+            if v:
+                rem[u] = v
+            else:
+                rem.pop(u, None)
+    return out
+
+
 def decompose_character(
     chi: LaurentPoly, g: GroupSpec, verify: bool = True
 ) -> dict[Weight, int]:
     """Decompose a genuine character into irreducibles.
 
-    Greedy highest-weight subtraction: repeatedly take the lexicographically
-    greatest dominant weight in the (dominant sector of the) remainder and
-    subtract that many irreducible weight systems.  With ``verify`` the
-    input is rebuilt from the result and compared exactly; any mismatch, a
-    negative multiplicity, or junk exponents raise NotACharacter.
+    Greedy highest-weight subtraction (greedy_decompose) on the dominant
+    sector of chi.  With ``verify`` the input is rebuilt from the result
+    and compared exactly; any mismatch, a negative multiplicity, or junk
+    exponents raise NotACharacter.
     """
     if not chi:
         return {}
@@ -544,21 +575,7 @@ def decompose_character(
     rem = {w: c for w, c in chi.items() if is_dominant(g, w)}
     if not rem and chi:
         raise NotACharacter("no dominant weight in support")
-    out: dict[Weight, int] = {}
-    while rem:
-        w = max(rem)
-        m = rem.pop(w)
-        if m < 0:
-            raise NotACharacter(f"negative multiplicity {m} at {w}")
-        out[w] = m
-        for u, mu in weight_multiplicities(g, w).items():
-            if u == w:
-                continue
-            v = rem.get(u, 0) - m * mu
-            if v:
-                rem[u] = v
-            else:
-                rem.pop(u, None)
+    out = greedy_decompose(rem, lambda w: weight_multiplicities(g, w))
     if verify:
         rebuilt: LaurentPoly = {}
         for w, m in out.items():

@@ -15,7 +15,13 @@ an inconsistent one.
 
 from __future__ import annotations
 
-from .partitions import Partition, contains, partitions_over
+from .partitions import (
+    Partition,
+    contains,
+    is_even_columns,
+    is_even_rows,
+    partitions_over,
+)
 
 _INF = 10 ** 9
 
@@ -134,16 +140,12 @@ def tensor_expand(
 
 def even_row_sum(expansion: dict[Partition, int]) -> int:
     """Sum of coefficients over keys with all parts even."""
-    return sum(c for nu, c in expansion.items() if all(x % 2 == 0 for x in nu))
+    return sum(c for nu, c in expansion.items() if is_even_rows(nu))
 
 
 def even_column_sum(expansion: dict[Partition, int]) -> int:
     """Sum of coefficients over keys whose column heights are all even."""
-    total = 0
-    for nu, c in expansion.items():
-        if len(nu) % 2 == 0 and all(nu[i] == nu[i + 1] for i in range(0, len(nu), 2)):
-            total += c
-    return total
+    return sum(c for nu, c in expansion.items() if is_even_columns(nu))
 
 
 def expansion_dot(a: dict[Partition, int], b: dict[Partition, int]) -> int:

@@ -3,7 +3,12 @@
 Nothing here touches a Littlewood-Richardson coefficient.  Every answer is
 obtained from exact torus characters: build the big group's character,
 substitute the subgroup's torus, decompose into the subgroup's irreducible
-characters, translate dominant weights back to labels.
+characters, translate dominant weights back to labels.  The pipeline reads
+the pair's rule in branching.PAIRS (its kind, families and rank scale), and
+one map per label family names the group, the label's weight and the
+weight's label; no code here branches on a pair id.  Every decomposition,
+whether of a restriction, a tensor product or a direct sum, runs the one
+greedy loop characters.greedy_decompose and keeps its own check.
 
 Tensor products (the diagonal pairs) are decomposed without materializing
 the product polynomial: by Weyl symmetry a product is determined by its
@@ -21,10 +26,12 @@ equality, but query entry points refuse such labels outright.
 
 from __future__ import annotations
 
+from itertools import product
 from math import comb
 from types import MappingProxyType
+from typing import Callable, NamedTuple
 
-from .branching import BranchingQuery, RepLabel, rule_of
+from .branching import BranchingQuery, PairRule, RepLabel, rule_of
 from .characters import (
     GL,
     GroupSpec,
@@ -34,7 +41,10 @@ from .characters import (
     decompose_character,
     dim_of_weight,
     dominant_candidates,
+    dominant_rep,
+    dominant_weights,
     full_weight_support,
+    greedy_decompose,
     is_dominant,
     restrict_character,
     weight_multiplicities,
@@ -44,7 +54,6 @@ from .errors import (
     NotACharacter,
     OutOfSafeRegime,
     StableRangeViolation,
-    UnknownPair,
 )
 from .partitions import GLLabel, Partition, double_columns, double_rows, partitions_of
 
@@ -89,22 +98,47 @@ def _translate_so_map(raw: dict[Weight, int], n: int) -> dict[Partition, int]:
     """SO dominant weights -> O labels, folding self-associate +/- pairs."""
     out: dict[Partition, int] = {}
     for w, m in raw.items():
-        if not w:
-            out[()] = m
-            continue
-        if w[-1] < 0:
-            partner = w[:-1] + (-w[-1],)
-            if raw.get(partner, 0) != m:
-                raise NotACharacter(
-                    f"unpaired boundary weight {w} in an O_{n} decomposition")
-            continue
-        if w[-1] > 0:
-            partner = w[:-1] + (-w[-1],)
-            if n % 2 == 0 and raw.get(partner, 0) != m:
-                raise NotACharacter(
-                    f"unpaired boundary weight {w} in an O_{n} decomposition")
-        out[_strip(w)] = m
+        if w and w[-1] and (w[-1] < 0 or n % 2 == 0) \
+                and raw.get(w[:-1] + (-w[-1],), 0) != m:
+            raise NotACharacter(
+                f"unpaired boundary weight {w} in an O_{n} decomposition")
+        if not w or w[-1] >= 0:  # a -w[-1] weight folds into this label
+            out[_strip(w)] = m
     return out
+
+
+def _labels(family: str, raw: dict[Weight, int], n: int) -> dict:
+    """A decomposition's dominant weights read back as the family's labels
+    at rank n."""
+    if family == "O":
+        return _translate_so_map(raw, n)
+    read = _FAMILIES[family].read
+    return {read(w): m for w, m in raw.items()}
+
+
+def _so_group(n: int) -> GroupSpec:
+    """SO(n), through which O_n labels are read; O_0 and O_1 have no
+    maximal torus to read them on."""
+    if n < 2:
+        raise OutOfSafeRegime(f"O_{n} labels need n >= 2 to read through SO")
+    return SO(n)
+
+
+class _Family(NamedTuple):
+    """How the oracle handles one label family: the connected group at
+    rank n, the label's highest weight, and a dominant weight's label (the
+    O family folds self-associate pairs in _translate_so_map)."""
+
+    group: Callable[[int], GroupSpec]
+    weight: Callable
+    read: Callable[[Weight], object]
+
+
+_FAMILIES = {
+    "GL": _Family(GL, gl_weight, weight_to_gl_label),
+    "O": _Family(_so_group, so_weight, _strip),
+    "Sp": _Family(Sp, sp_weight, _strip),
+}
 
 
 def _o_dim(lam: Partition, n: int) -> int:
@@ -114,7 +148,7 @@ def _o_dim(lam: Partition, n: int) -> int:
     if 2 * len(lam) > n:
         raise OutOfSafeRegime(f"O label {lam} beyond ℓ(λ) <= n/2 at n={n}")
     w = tuple(lam) + (0,) * (rank - len(lam))
-    d = dim_of_weight(SO(n), w)
+    d = dim_of_weight(_so_group(n), w)
     if n % 2 == 0 and len(lam) == rank:
         d *= 2
     return d
@@ -122,16 +156,14 @@ def _o_dim(lam: Partition, n: int) -> int:
 
 def dim_irrep(label: RepLabel) -> int:
     """Dimension by the Weyl product formula on the connected group."""
-    if label.family == "GL":
-        return dim_of_weight(GL(label.rank), gl_weight(label.data, label.rank))
-    if label.family == "Sp":
-        return dim_of_weight(Sp(label.rank), sp_weight(label.data, label.rank))
-    if label.family == "O":
-        if 2 * len(label.data) >= label.rank:
-            raise OutOfSafeRegime(
-                f"O label {label.data} at n={label.rank}: need ℓ(λ) < n/2")
-        return _o_dim(label.data, label.rank)
-    raise ValueError(f"unknown family {label.family!r}")
+    family = _FAMILIES.get(label.family)
+    if family is None:
+        raise ValueError(f"unknown family {label.family!r}")
+    if label.family == "O" and 2 * len(label.data) >= label.rank:
+        raise OutOfSafeRegime(
+            f"O label {label.data} at n={label.rank}: need ℓ(λ) < n/2")
+    group = family.group(label.rank)
+    return dim_of_weight(group, family.weight(label.data, label.rank))
 
 
 # ---------------------------------------------------------------------------
@@ -162,21 +194,7 @@ def decompose_tensor(g: GroupSpec, w1: Weight, w2: Weight) -> dict[Weight, int]:
                 c += cu * cv
         if c:
             rem[w] = c
-    out: dict[Weight, int] = {}
-    while rem:
-        w = max(rem)
-        m = rem.pop(w)
-        if m < 0:
-            raise NotACharacter(f"negative multiplicity {m} at {w}")
-        out[w] = m
-        for u, mu in weight_multiplicities(g, w).items():
-            if u == w:
-                continue
-            v = rem.get(u, 0) - m * mu
-            if v:
-                rem[u] = v
-            else:
-                rem.pop(u, None)
+    out = greedy_decompose(rem, lambda w: weight_multiplicities(g, w))
     mass = sum(m * dim_of_weight(g, w) for w, m in out.items())
     if mass != d1 * d2:
         raise ExactnessError(
@@ -194,8 +212,6 @@ def _sum_pair_decompose(
 ) -> dict[tuple[Weight, Weight], int]:
     """Decompose V(big) under the product subgroup whose torus is the split
     of the big torus (plus an evaluated-away leftover coordinate, if any)."""
-    from .characters import dominant_rep
-
     a, b = ga.torus_rank, gb.torus_rank
     left = g_big.torus_rank - a - b
     rem: dict[tuple[Weight, Weight], int] = {}
@@ -217,24 +233,14 @@ def _sum_pair_decompose(
             (u, v): c for (u, v), c in coeffs.items()
             if c and is_dominant(ga, u) and is_dominant(gb, v)
         }
-    out: dict[tuple[Weight, Weight], int] = {}
-    while rem:
-        u, v = max(rem)
-        m = rem.pop((u, v))
-        if m < 0:
-            raise NotACharacter(f"negative multiplicity {m} at {(u, v)}")
-        out[(u, v)] = m
-        fr_u = weight_multiplicities(ga, u)
-        fr_v = weight_multiplicities(gb, v)
-        for uu, cu in fr_u.items():
-            for vv, cv in fr_v.items():
-                if (uu, vv) == (u, v):
-                    continue
-                val = rem.get((uu, vv), 0) - m * cu * cv
-                if val:
-                    rem[(uu, vv)] = val
-                else:
-                    rem.pop((uu, vv), None)
+
+    def system(key):
+        fr_u = weight_multiplicities(ga, key[0])
+        fr_v = weight_multiplicities(gb, key[1])
+        return {(uu, vv): cu * cv
+                for uu, cu in fr_u.items() for vv, cv in fr_v.items()}
+
+    out = greedy_decompose(rem, system)
     mass = sum(
         m * dim_of_weight(ga, u) * dim_of_weight(gb, v)
         for (u, v), m in out.items()
@@ -245,7 +251,7 @@ def _sum_pair_decompose(
 
 
 # ---------------------------------------------------------------------------
-# per-pair oracle pipelines
+# the oracle pipeline, read from the pair's rule
 
 _ORACLE_CACHE: dict = {}
 
@@ -254,7 +260,7 @@ def oracle_decomposition(pair: str, ranks: tuple, big) -> MappingProxyType:
     """Full decomposition map for one big representation, keyed by small
     label data ((GLLabel | Partition) or pairs thereof).  The map is a
     read-only view of the memo's entry."""
-    if pair.endswith("diag"):
+    if rule_of(pair).kind == "diag":
         big = tuple(sorted(big))  # tensor factors commute
     key = (pair, tuple(ranks), big)
     cached = _ORACLE_CACHE.get(key)
@@ -265,81 +271,33 @@ def oracle_decomposition(pair: str, ranks: tuple, big) -> MappingProxyType:
     return out
 
 
-def _partition_weight_candidates(g: GroupSpec, max_size: int):
-    for t in range(max_size, -1, -1):
-        for pp in partitions_of(t, max_length=g.torus_rank):
-            v = pp + (0,) * (g.torus_rank - len(pp))
-            yield v
-            if g.family == "SOEven" and len(pp) == g.torus_rank:
-                yield v[:-1] + (-v[-1],)
-
-
-def _oracle_decomposition(pair: str, ranks: tuple, big) -> dict:
-    if pair == "gl-diag":
-        n = ranks[0]
-        mu, nu = big
-        raw = decompose_tensor(GL(n), gl_weight(mu, n), gl_weight(nu, n))
-        return {weight_to_gl_label(w): m for w, m in raw.items()}
-    if pair == "o-diag":
-        n = ranks[0]
-        mu, nu = big
-        g = SO(n)
-        raw = decompose_tensor(g, so_weight(mu, n), so_weight(nu, n))
-        return _translate_so_map(raw, n)
-    if pair == "sp-diag":
-        n = ranks[0]
-        mu, nu = big
-        g = Sp(n)
-        raw = decompose_tensor(g, sp_weight(mu, n), sp_weight(nu, n))
-        return {_strip(w): m for w, m in raw.items()}
-    if pair == "gl-sum":
-        n, m = ranks
-        lam = big
-        g_big = GL(n + m)
-        wbig = gl_weight(lam, n + m)
+def _sum_decomposition(rule: PairRule, ranks: tuple, lam) -> dict:
+    n, m = ranks
+    family = _FAMILIES[rule.big]
+    g_big = family.group(n + m)
+    if rule.big == "GL":  # λ is checked before, O and Sp after, the factors
+        wbig = family.weight(lam, n + m)
+        ga, gb = family.group(n), family.group(m)
         # λ's positive and negative sizes bound those of every factor weight
         pos, neg = sum(lam.plus), sum(lam.minus)
-
-        def cand_gl(g):
-            for psize in range(0, pos + 1):
-                for msize in range(0, neg + 1):
-                    for pp in partitions_of(psize, max_length=g.torus_rank):
-                        for mm in partitions_of(
-                            msize, max_length=g.torus_rank - len(pp)
-                        ):
-                            yield (pp + (0,) * (g.torus_rank - len(pp) - len(mm))
-                                   + tuple(-x for x in reversed(mm)))
-
+        sizes = list(product(range(pos + 1), range(neg + 1)))
         pairs = [
             (u, v)
-            for u in cand_gl(GL(n))
-            for v in cand_gl(GL(m))
+            for u in dominant_weights(ga, sizes)
+            for v in dominant_weights(gb, sizes)
             if sum(u) + sum(v) == sum(wbig)
         ]
-        raw = _sum_pair_decompose(g_big, wbig, GL(n), GL(m), pairs)
-        return {
-            (weight_to_gl_label(u), weight_to_gl_label(v)): c
-            for (u, v), c in raw.items()
-        }
-    if pair in ("o-sum", "sp-sum"):
-        n, m = ranks
-        lam = big
-        if pair == "o-sum":
-            g_big, ga, gb = SO(n + m), SO(n), SO(m)
-            wbig = so_weight(lam, n + m)
-            # with no leftover torus coordinate the joint root lattice
-            # forces even total drop; an odd factor lifts that constraint
-            parity_filter = n % 2 == 0 and m % 2 == 0
-        else:
-            g_big, ga, gb = Sp(n + m), Sp(n), Sp(m)
-            wbig = sp_weight(lam, n + m)
-            parity_filter = True
+    else:
+        ga, gb = family.group(n), family.group(m)
+        wbig = family.weight(lam, n + m)
+        # the joint root lattice forces an even total drop unless a factor
+        # is SO(odd), whose short roots lift that constraint
+        parity_filter = "SOOdd" not in (ga.family, gb.family)
         total = sum(lam)
-        usizes = {}
+        sizes = range(total, -1, -1)
+        usizes = {u: sum(abs(x) for x in u) for u in dominant_weights(ga, sizes)}
         pairs = []
-        for u in _partition_weight_candidates(ga, total):
-            usizes[u] = sum(abs(x) for x in u)
-        for v in _partition_weight_candidates(gb, total):
+        for v in dominant_weights(gb, sizes):
             vs = sum(abs(x) for x in v)
             for u, us in usizes.items():
                 if us + vs > total:
@@ -347,46 +305,40 @@ def _oracle_decomposition(pair: str, ranks: tuple, big) -> dict:
                 if parity_filter and (total - us - vs) % 2:
                     continue
                 pairs.append((u, v))
-        raw = _sum_pair_decompose(g_big, wbig, ga, gb, pairs)
-        if pair == "o-sum":
-            out: dict = {}
-            for (u, v), c in raw.items():
-                if (u and u[-1] < 0) or (v and v[-1] < 0):
-                    raise OutOfSafeRegime(
-                        f"boundary factor label in o-sum output: {u},{v}")
-                ou, ov = _strip(u), _strip(v)
-                if 2 * len(ou) >= n or 2 * len(ov) >= m:
-                    raise OutOfSafeRegime(
-                        f"factor label out of safe regime in o-sum: {u},{v}")
-                out[(ou, ov)] = c
-            return out
-        return {(_strip(u), _strip(v)): c for (u, v), c in raw.items()}
-    if pair in ("gl-in-o", "gl-in-sp"):
-        n = ranks[0]
-        lam = big
-        if pair == "gl-in-o":
-            src = SO(2 * n)
-            if 2 * len(lam) >= 2 * n:
+    raw = _sum_pair_decompose(g_big, wbig, ga, gb, pairs)
+    if rule.big == "O":
+        for u, v in raw:
+            if (u and u[-1] < 0) or (v and v[-1] < 0):
                 raise OutOfSafeRegime(
-                    f"O label {lam} needs ℓ(λ) < n for the O_2n oracle")
-            wsrc = tuple(lam) + (0,) * (n - len(lam))
-        else:
-            src = Sp(n)
-            wsrc = sp_weight(lam, n)
-        chi = dict(full_weight_support(src, wsrc))
-        restricted = restrict_character(chi, pair, (n,))
-        raw = decompose_character(restricted, GL(n))
-        return {weight_to_gl_label(w): m for w, m in raw.items()}
-    if pair in ("o-in-gl", "sp-in-gl"):
-        n = ranks[0]
-        big_n = rule_of(pair).big_scale * n
-        chi = dict(full_weight_support(GL(big_n), gl_weight(big, big_n)))
-        restricted = restrict_character(chi, pair, (n,))
-        if pair == "o-in-gl":
-            return _translate_so_map(decompose_character(restricted, SO(n)), n)
-        raw = decompose_character(restricted, Sp(n))
-        return {_strip(w): m for w, m in raw.items()}
-    raise UnknownPair(pair)
+                    f"boundary factor label in o-sum output: {u},{v}")
+            if 2 * len(_strip(u)) >= n or 2 * len(_strip(v)) >= m:
+                raise OutOfSafeRegime(
+                    f"factor label out of safe regime in o-sum: {u},{v}")
+    read = family.read
+    return {(read(u), read(v)): c for (u, v), c in raw.items()}
+
+
+def _oracle_decomposition(pair: str, ranks: tuple, big) -> dict:
+    rule = rule_of(pair)
+    if rule.kind == "sum":
+        return _sum_decomposition(rule, ranks, big)
+    n = ranks[0]
+    small = _FAMILIES[rule.small]
+    if rule.kind == "diag":
+        mu, nu = big
+        g = small.group(n)
+        raw = decompose_tensor(g, small.weight(mu, n), small.weight(nu, n))
+        return _labels(rule.small, raw, n)
+    # restriction along the embedding: polarization or bilinear form
+    big_n = rule.big_scale * n
+    family = _FAMILIES[rule.big]
+    g_big = family.group(big_n)
+    if rule.big == "O" and 2 * len(big) >= big_n:
+        raise OutOfSafeRegime(
+            f"O label {big} needs ℓ(λ) < n for the O_2n oracle")
+    chi = dict(full_weight_support(g_big, family.weight(big, big_n)))
+    restricted = restrict_character(chi, pair, (n,))
+    return _labels(rule.small, decompose_character(restricted, small.group(n)), n)
 
 
 def oracle_multiplicity(q: BranchingQuery) -> int:

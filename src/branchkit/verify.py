@@ -8,7 +8,8 @@ n >= 2*size+2 (size being the grid's size cap), which keeps every label
 readable through SO characters.  Beyond the compared cells the full
 nonzero supports of both sides are held equal at the largest rank used,
 so a constituent appearing on only one side fails the grid even when it
-is larger than the requested cap.
+is larger than the requested cap.  Each grid's labels, ranks and
+pipelines follow the pair's rule in branching.PAIRS.
 """
 
 from __future__ import annotations
@@ -16,9 +17,12 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
+from itertools import product
 
 from .branching import (
     PAIR_IDS,
+    PAIRS,
+    PairRule,
     bilinear_sum,
     branch_decompose,
     diagonal_gl_sum,
@@ -107,14 +111,18 @@ def run_grid(pair: str, max_size: int | None = None) -> GridReport:
     """Formula-vs-oracle grid for one pair at the given size cap."""
     if max_size is None:
         max_size = DEFAULT_MAX_SIZE[pair]
+    rule = PAIRS[pair]
     report = GridReport(pair)
     t0 = time.perf_counter()
-    _GRID_RUNNERS[pair](report, max_size)
+    if rule.kind == "diag" and rule.big == "GL":
+        _grid_gl_diag(report, max_size, pair)
+    else:
+        _grid(report, max_size, pair)
     report.elapsed_ms = int((time.perf_counter() - t0) * 1000)
     return report
 
 
-def _grid_gl_diag(report: GridReport, max_size: int):
+def _grid_gl_diag(report: GridReport, max_size: int, pair: str):
     labels = gl_labels(max_size)
     for mu in labels:
         for nu in labels:
@@ -125,112 +133,60 @@ def _grid_gl_diag(report: GridReport, max_size: int):
                 lam for lam in labels
                 if len(lam.plus) <= p + r and len(lam.minus) <= q + s
             ]
-            fmap = branch_decompose("gl-diag", (mu, nu), (n,))
-            omap = oracle_decomposition("gl-diag", (n,), (mu, nu))
-            _compare(report, ("gl-diag", (n,), mu, nu), fmap, omap, compared)
+            fmap = branch_decompose(pair, (mu, nu), (n,))
+            omap = oracle_decomposition(pair, (n,), (mu, nu))
+            _compare(report, (pair, (n,), mu, nu), fmap, omap, compared)
 
 
-def _grid_onsp_diag(report: GridReport, max_size: int, pair: str):
-    labels = partition_labels(max_size)
-    safe_floor = 2 * max_size + 2
-    for mu in labels:
-        for nu in labels:
-            if pair == "o-diag":
-                n = max(safe_floor, 2 * (len(mu) + len(nu)))
-                by_rank = {n: labels}
-            else:
-                by_rank = {}
-                for lam in labels:
-                    n = max(len(lam), len(mu) + len(nu), 1)
-                    by_rank.setdefault(n, []).append(lam)
-            _run_groups(
-                report, pair, (mu, nu), by_rank,
-                lambda n: (n,),
-                lambda n: branch_decompose(pair, (mu, nu), (n,)),
-            )
+def _grid_labels(family: str, max_size: int) -> list:
+    return gl_labels(max_size) if family == "GL" else partition_labels(max_size)
 
 
-def _grid_gl_sum(report: GridReport, max_size: int):
-    labels = gl_labels(max_size)
-    for lam in labels:
-        fmap = branch_decompose("gl-sum", lam, None)
+def _depth(rule: PairRule, big, key) -> int:
+    """The largest label length (or, for GL, ℓ(+)+ℓ(-)) among the cell's
+    labels that the rule's hypotheses bound by the rank."""
+    if rule.kind == "diag":
+        mu, nu = big
+        return max(len(key), len(mu) + len(nu))
+    if rule.kind == "sum":
+        labels = (big,) + key
+        if rule.small == "GL":
+            return (max(len(lab.plus) for lab in labels)
+                    + max(len(lab.minus) for lab in labels))
+        return max(len(lab) for lab in labels)
+    if rule.kind == "polarization":
+        return max(len(big), len(key.plus), len(key.minus))
+    return max(len(big.plus) + len(big.minus), len(key))
+
+
+def _grid(report: GridReport, max_size: int, pair: str):
+    """The grid of every pair but gl-diag: each big-side input's cells are
+    compared at the smallest rank where the rule's hypotheses hold (for an
+    orthogonal subgroup, no lower than the oracle-safe floor).  That rank
+    is the cells' depth, or twice it where the hypotheses bound lengths by
+    ⌊n/2⌋."""
+    rule = PAIRS[pair]
+    orthogonal = rule.small == "O"
+    scale = 2 if orthogonal or rule.kind == "polarization" else 1
+    floor = 2 * max_size + 2 if orthogonal else 1
+    smalls = _grid_labels(rule.small, max_size)
+    if rule.kind == "diag":  # the tensor factors are the big side
+        bigs, keys = list(product(smalls, smalls)), smalls
+    else:
+        bigs = _grid_labels(rule.big, max_size)
+        keys = list(product(smalls, smalls)) if rule.kind == "sum" else smalls
+    for big in bigs:
         by_rank: dict[int, list] = {}
-        for mu in labels:
-            for nu in labels:
-                k = (max(len(lam.plus), len(mu.plus), len(nu.plus))
-                     + max(len(lam.minus), len(mu.minus), len(nu.minus)))
-                by_rank.setdefault(max(k, 1), []).append((mu, nu))
-        _run_groups(
-            report, "gl-sum", lam, by_rank,
-            lambda n: (n, n), lambda n: fmap,
-        )
-
-
-def _grid_onsp_sum(report: GridReport, max_size: int, pair: str):
-    labels = partition_labels(max_size)
-    safe_floor = 2 * max_size + 2
-    for lam in labels:
-        fmap = branch_decompose(pair, lam, None)
-        by_rank: dict[int, list] = {}
-        for mu in labels:
-            for nu in labels:
-                lmax = max(len(lam), len(mu), len(nu))
-                if pair == "o-sum":
-                    n = max(2 * lmax, safe_floor)
-                else:
-                    n = max(lmax, 1)
-                by_rank.setdefault(n, []).append((mu, nu))
-        _run_groups(report, pair, lam, by_rank,
-                    lambda n: (n, n), lambda n: fmap)
-
-
-def _grid_polarization(report: GridReport, max_size: int, pair: str):
-    bigs = partition_labels(max_size)
-    smalls = gl_labels(max_size)
-    for lam in bigs:
-        by_rank: dict[int, list] = {}
-        for mu in smalls:
-            n = max(2 * len(lam), 2 * len(mu.plus), 2 * len(mu.minus), 1)
-            by_rank.setdefault(n, []).append(mu)
-        _run_groups(
-            report, pair, lam, by_rank,
-            lambda n: (n,),
-            lambda n: branch_decompose(pair, lam, (n,)),
-        )
-
-
-def _grid_bilinear(report: GridReport, max_size: int, pair: str):
-    bigs = gl_labels(max_size)
-    smalls = partition_labels(max_size)
-    safe_floor = 2 * max_size + 2
-    for lam in bigs:
-        depth = len(lam.plus) + len(lam.minus)
-        by_rank: dict[int, list] = {}
-        for mu in smalls:
-            if pair == "o-in-gl":
-                n = max(2 * depth, 2 * len(mu), safe_floor)
-            else:
-                n = max(depth, len(mu), 1)
-            by_rank.setdefault(n, []).append(mu)
-        _run_groups(
-            report, pair, lam, by_rank,
-            lambda n: (n,),
-            lambda n: branch_decompose(pair, lam, (n,)),
-        )
-
-
-_GRID_RUNNERS = {
-    "gl-diag": _grid_gl_diag,
-    "o-diag": lambda r, s: _grid_onsp_diag(r, s, "o-diag"),
-    "sp-diag": lambda r, s: _grid_onsp_diag(r, s, "sp-diag"),
-    "gl-sum": _grid_gl_sum,
-    "o-sum": lambda r, s: _grid_onsp_sum(r, s, "o-sum"),
-    "sp-sum": lambda r, s: _grid_onsp_sum(r, s, "sp-sum"),
-    "gl-in-o": lambda r, s: _grid_polarization(r, s, "gl-in-o"),
-    "gl-in-sp": lambda r, s: _grid_polarization(r, s, "gl-in-sp"),
-    "o-in-gl": lambda r, s: _grid_bilinear(r, s, "o-in-gl"),
-    "sp-in-gl": lambda r, s: _grid_bilinear(r, s, "sp-in-gl"),
-}
+        for key in keys:
+            n = max(scale * _depth(rule, big, key), floor)
+            by_rank.setdefault(n, []).append(key)
+        if rule.kind == "sum":  # no rank-dependent caps: one formula map
+            fmap = branch_decompose(pair, big, None)
+            _run_groups(report, pair, big, by_rank,
+                        lambda n: (n, n), lambda n: fmap)
+        else:
+            _run_groups(report, pair, big, by_rank, lambda n: (n,),
+                        lambda n: branch_decompose(pair, big, (n,)))
 
 
 # ---------------------------------------------------------------------------

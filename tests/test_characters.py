@@ -153,6 +153,31 @@ def test_dimensions_match_character_values():
             assert poly_eval_ones(chi) == dim_of_weight(g, w), (g, w)
 
 
+def test_dimensions_match_the_fraction_product_at_higher_rank():
+    # the Weyl product taken root by root in exact fractions is the
+    # reference for the integer product-then-divide
+    from fractions import Fraction
+    import random
+
+    rng = random.Random(5)
+    for fam in ("GL", "Sp", "SOOdd", "SOEven"):
+        for rank in range(3, 13):
+            g = GroupSpec(fam, rank)
+            tr = two_rho(g)
+            for _ in range(4):
+                low = -3 if fam == "GL" else 0
+                w = sorted((rng.randint(low, 5) for _ in range(rank)),
+                           reverse=True)
+                if fam == "SOEven" and rng.random() < 0.5:
+                    w[-1] = -w[-1]
+                expected = Fraction(1)
+                for alpha in positive_roots(g):
+                    num = sum((2 * x + r) * a for x, r, a in zip(w, tr, alpha))
+                    den = sum(r * a for r, a in zip(tr, alpha))
+                    expected *= Fraction(num, den)
+                assert dim_of_weight(g, tuple(w)) == expected, (g, w)
+
+
 def test_weight_multiplicities_known_values():
     # adjoint of GL(3): zero weight has multiplicity 2
     mults = weight_multiplicities(GL(3), (1, 0, -1))

@@ -8,7 +8,10 @@ from branchkit.characters import (
     Sp,
     decompose_character,
     full_weight_support,
+    irreducible_character,
+    poly_add_scaled,
     poly_mul,
+    restrict_character,
 )
 from branchkit.errors import OutOfSafeRegime, StableRangeViolation
 from branchkit.oracle import (
@@ -170,3 +173,52 @@ def test_oracle_decomposition_is_read_only():
     with pytest.raises(TypeError):
         dec[(2,)] = 5
     assert oracle_multiplicity(q) == 1
+
+
+def test_orthogonal_rank_below_two_is_out_of_safe_regime():
+    with pytest.raises(OutOfSafeRegime):
+        oracle_multiplicity(query("o-diag", (1,), E, [(1,), E]))
+    with pytest.raises(OutOfSafeRegime):
+        dim_irrep(RepLabel("O", 1, E))
+    for pair, ranks, big in [("o-diag", (1,), (E, E)), ("o-sum", (3, 1), E),
+                             ("o-sum", (0, 4), E), ("o-in-gl", (1,), L(E)),
+                             ("gl-in-o", (0,), E)]:
+        with pytest.raises(OutOfSafeRegime):
+            oracle_decomposition(pair, ranks, big)
+
+
+# (pair, ranks, big labels): every factor label the oracle returns stays in
+# the safe regime; o-sum covers odd-odd (a leftover torus coordinate),
+# odd-even and even-even splits
+DIRECT_SUM_CASES = [
+    ("gl-sum", (1, 1), [L(E), L((1,)), L((1,), (1,)), L((2,), (1,))]),
+    ("gl-sum", (2, 1), [L((1, 1)), L((2, 1)), L((2,), (1,))]),
+    ("gl-sum", (2, 2), [L((1, 1), (1,)), L((2,), (1, 1))]),
+    ("sp-sum", (1, 1), [E, (1,), (2,), (1, 1), (2, 1)]),
+    ("sp-sum", (2, 1), [(1, 1), (2, 1), (3,), (1, 1, 1)]),
+    ("o-sum", (3, 3), [E, (1,), (2,), (3,)]),
+    ("o-sum", (5, 3), [(1,), (2,), (3,)]),
+    ("o-sum", (5, 4), [(1,), (2,)]),
+    ("o-sum", (4, 4), [(1,), (2,)]),
+]
+
+
+@pytest.mark.parametrize("pair,ranks,bigs", DIRECT_SUM_CASES)
+def test_direct_sum_oracle_rebuilds_the_restriction(pair, ranks, bigs):
+    # Σ m·χ_u⊗χ_v from alternating-sum characters, which share no code with
+    # Freudenthal's recursion or the greedy loop
+    n, m = ranks
+    group, weight = {"gl": (GL, gl_weight), "o": (SO, so_weight),
+                     "sp": (Sp, sp_weight)}[pair.split("-")[0]]
+    for lam in bigs:
+        dec = oracle_decomposition(pair, ranks, lam)
+        assert dec, (pair, ranks, lam)
+        rebuilt: dict = {}
+        for (u, v), mult in dec.items():
+            chi_u = irreducible_character(group(n), weight(u, n))
+            chi_v = irreducible_character(group(m), weight(v, m))
+            product = {eu + ev: cu * cv for eu, cu in chi_u.items()
+                       for ev, cv in chi_v.items()}
+            poly_add_scaled(rebuilt, product, mult)
+        big = irreducible_character(group(n + m), weight(lam, n + m))
+        assert rebuilt == restrict_character(big, pair, ranks), (pair, lam)
