@@ -18,13 +18,10 @@ Pair identifiers (the external interface):
     o-in-gl   O_n ⊂ GL_n                  (invariant bilinear form)
     sp-in-gl  Sp_2n ⊂ GL_2n               (invariant bilinear form)
 
-``PAIRS`` is the one place per-pair facts live: the rule's kind and number,
-the label families on each side, the big label's rank and which even
-shapes its sum keeps.  Every per-pair choice (formula, stable range,
-decomposition caps, and in the other modules the oracle pipeline, the
-torus restriction and the verification grid) reads the pair's rule, never
-its id.  Each pair's stable-range inequalities are written once, in
-range_violations.
+Per-pair facts live only in the pair table ``PAIRS`` (module pairs); every
+choice here (formula, stable range, decomposition caps) reads the pair's
+rule, never its id.  Each pair's stable-range inequalities are written
+once, in range_violations.
 
 For the diagonal pairs a query carries the two tensor factors as ``small``
 and the target constituent as ``big``; for all other pairs ``big`` is the
@@ -39,7 +36,6 @@ theorems that the bilinear rules generalize.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .errors import InvalidLabel, StableRangeViolation, UnknownPair
 from .lr import (
@@ -49,6 +45,8 @@ from .lr import (
     lr_coeff,
     skew_expand,
 )
+# PAIR_IDS and PairRule are imported for callers of this module
+from .pairs import PAIR_IDS, PAIRS, RULE_ID, PairRule, rule_of, torus_rank
 from .partitions import (
     GLLabel,
     Partition,
@@ -57,62 +55,6 @@ from .partitions import (
     partitions_of,
     subpartitions,
 )
-
-
-class PairRule(NamedTuple):
-    """The facts a rule is stated with: its kind, its number, the label
-    families on each side, how the big label's rank follows from n and
-    which even shapes its sum keeps.  A NamedTuple rather than a frozen
-    dataclass: just as immutable, and about 1 ms cheaper to create at
-    import."""
-
-    kind: str  # "diag" | "sum" | "polarization" | "bilinear"
-    rule_id: str
-    big: str  # family of the big label: "GL" | "O" | "Sp"
-    small: str  # family of each small label
-    big_scale: int = 1  # the big rank is big_scale·n outside the sum rules
-    even: str | None = None  # "rows" | "columns": the 2δ its sum runs over
-
-    @property
-    def small_count(self) -> int:
-        return 2 if self.kind in ("diag", "sum") else 1
-
-
-PAIRS = {
-    "gl-diag": PairRule("diag", "2.1.1", "GL", "GL"),
-    "o-diag": PairRule("diag", "2.1.2", "O", "O"),
-    "sp-diag": PairRule("diag", "2.1.3", "Sp", "Sp"),
-    "gl-sum": PairRule("sum", "2.2.1", "GL", "GL"),
-    "o-sum": PairRule("sum", "2.2.2", "O", "O", even="rows"),
-    "sp-sum": PairRule("sum", "2.2.3", "Sp", "Sp", even="columns"),
-    "gl-in-o": PairRule("polarization", "2.3.1", "O", "GL", big_scale=2,
-                        even="columns"),
-    "gl-in-sp": PairRule("polarization", "2.3.2", "Sp", "GL", even="rows"),
-    "o-in-gl": PairRule("bilinear", "2.4.1", "GL", "O", even="rows"),
-    "sp-in-gl": PairRule("bilinear", "2.4.2", "GL", "Sp", big_scale=2,
-                         even="columns"),
-}
-
-PAIR_IDS = tuple(PAIRS)
-
-# rule ids quoted in stable-range violation reports
-RULE_ID = {pair: rule.rule_id for pair, rule in PAIRS.items()}
-
-TWO_RANK_PAIRS = tuple(pair for pair, rule in PAIRS.items() if rule.kind == "sum")
-
-
-def rule_of(pair: str) -> PairRule:
-    """The pair's PairRule; UnknownPair for an id not in PAIRS."""
-    rule = PAIRS.get(pair)
-    if rule is None:
-        raise UnknownPair(pair)
-    return rule
-
-
-def torus_rank(family: str, n: int) -> int:
-    """The rank of a maximal torus of the family's group at rank n: ⌊n/2⌋
-    for O_n, n for GL_n and Sp_2n."""
-    return n // 2 if family == "O" else n
 
 
 @dataclass(frozen=True)

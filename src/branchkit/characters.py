@@ -19,7 +19,7 @@ decomposition (decompose_character here, and in the oracle the tensor
 products and the direct-sum pairs) runs it, each caller keeping its own
 check.  decompose_character re-verifies every decomposition by rebuilding
 its input from Freudenthal weight systems.  restrict_character reads the
-embedding from the pair's rule in branching.PAIRS.
+embedding from the pair's rule in the pair table, pairs.PAIRS.
 
 Families: "GL" (torus rank n), "Sp" (Sp of rank n), "SOOdd" (SO(2n+1)),
 "SOEven" (SO(2n)).
@@ -33,8 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations, product
 
-from .branching import rule_of, torus_rank
 from .errors import ExactnessError, NotACharacter, NotDominant
+from .pairs import rule_of, torus_rank
 from .partitions import partitions_of
 
 Weight = tuple[int, ...]
@@ -65,9 +65,7 @@ def Sp(n: int) -> GroupSpec:
 
 def SO(n: int) -> GroupSpec:
     """The special orthogonal group SO(n), n >= 2."""
-    if n % 2:
-        return GroupSpec("SOOdd", n // 2)
-    return GroupSpec("SOEven", n // 2)
+    return GroupSpec("SOOdd" if n % 2 else "SOEven", torus_rank("O", n))
 
 
 # ---------------------------------------------------------------------------

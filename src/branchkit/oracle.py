@@ -4,11 +4,12 @@ Nothing here touches a Littlewood-Richardson coefficient.  Every answer is
 obtained from exact torus characters: build the big group's character,
 substitute the subgroup's torus, decompose into the subgroup's irreducible
 characters, translate dominant weights back to labels.  The pipeline reads
-the pair's rule in branching.PAIRS (its kind, families and rank scale), and
-one map per label family names the group, the label's weight and the
-weight's label; no code here branches on a pair id.  Every decomposition,
-whether of a restriction, a tensor product or a direct sum, runs the one
-greedy loop characters.greedy_decompose and keeps its own check.
+the pair's rule in the pair table pairs.PAIRS (its kind, families and rank
+scale), and one map per label family names the group, the label's weight
+and the weight's label; no code here branches on a pair id.  Every
+decomposition, whether of a restriction, a tensor product or a direct sum,
+runs the one greedy loop characters.greedy_decompose and keeps its own
+check.
 
 Tensor products (the diagonal pairs) are decomposed without materializing
 the product polynomial: by Weyl symmetry a product is determined by its
@@ -31,7 +32,7 @@ from math import comb
 from types import MappingProxyType
 from typing import Callable, NamedTuple
 
-from .branching import BranchingQuery, PairRule, RepLabel, rule_of
+from .branching import BranchingQuery, RepLabel
 from .characters import (
     GL,
     GroupSpec,
@@ -55,6 +56,7 @@ from .errors import (
     OutOfSafeRegime,
     StableRangeViolation,
 )
+from .pairs import PairRule, rule_of, torus_rank
 from .partitions import GLLabel, Partition, double_columns, double_rows, partitions_of
 
 # ---------------------------------------------------------------------------
@@ -86,7 +88,7 @@ def so_weight(lam: Partition, n: int) -> Weight:
     if 2 * len(lam) >= n:
         raise OutOfSafeRegime(
             f"O label {lam} at n={n}: need ℓ(λ) < n/2 to read through SO")
-    rank = n // 2
+    rank = torus_rank("O", n)
     return tuple(lam) + (0,) * (rank - len(lam))
 
 
@@ -98,12 +100,21 @@ def _translate_so_map(raw: dict[Weight, int], n: int) -> dict[Partition, int]:
     """SO dominant weights -> O labels, folding self-associate +/- pairs."""
     out: dict[Partition, int] = {}
     for w, m in raw.items():
-        if w and w[-1] and (w[-1] < 0 or n % 2 == 0) \
-                and raw.get(w[:-1] + (-w[-1],), 0) != m:
-            raise NotACharacter(
-                f"unpaired boundary weight {w} in an O_{n} decomposition")
-        if not w or w[-1] >= 0:  # a -w[-1] weight folds into this label
-            out[_strip(w)] = m
+        if not w:
+            out[()] = m
+            continue
+        if w[-1] < 0:
+            partner = w[:-1] + (-w[-1],)
+            if raw.get(partner, 0) != m:
+                raise NotACharacter(
+                    f"unpaired boundary weight {w} in an O_{n} decomposition")
+            continue
+        if w[-1] > 0:
+            partner = w[:-1] + (-w[-1],)
+            if n % 2 == 0 and raw.get(partner, 0) != m:
+                raise NotACharacter(
+                    f"unpaired boundary weight {w} in an O_{n} decomposition")
+        out[_strip(w)] = m
     return out
 
 
@@ -144,7 +155,7 @@ _FAMILIES = {
 def _o_dim(lam: Partition, n: int) -> int:
     """dim E^λ_n for ℓ(λ) <= n/2 (doubles the SO dimension at the
     self-associate boundary)."""
-    rank = n // 2
+    rank = torus_rank("O", n)
     if 2 * len(lam) > n:
         raise OutOfSafeRegime(f"O label {lam} beyond ℓ(λ) <= n/2 at n={n}")
     w = tuple(lam) + (0,) * (rank - len(lam))

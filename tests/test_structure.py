@@ -69,3 +69,12 @@ def test_no_pair_id_branches_outside_the_table():
              for path in sorted(SRC.glob("*.py"))
              for hit in pair_id_branches(path.read_text(encoding="utf-8"))]
     assert not found, "\n".join(found)
+
+
+def test_character_layer_does_not_import_the_formulas():
+    """characters reads the pair table, never the Littlewood-Richardson
+    formula layer it is held against."""
+    tree = ast.parse((SRC / "characters.py").read_text(encoding="utf-8"))
+    imported = {node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)}
+    assert not imported & {"branching", "lr"}, imported
