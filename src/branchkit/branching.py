@@ -481,7 +481,7 @@ def bilinear_multiplicity(q: BranchingQuery) -> int:
 
 
 def branching_multiplicity(q: BranchingQuery, unsafe: bool = False) -> int:
-    """Dispatch on the pair id.  With ``unsafe`` the formula is evaluated
+    """Dispatch on the pair's rule.  With ``unsafe`` the formula is evaluated
     even when the stable-range hypotheses fail (labels are still checked)."""
     q.validate_labels()
     if not unsafe:
