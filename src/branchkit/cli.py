@@ -7,10 +7,9 @@ Exit codes: 0 success, 1 usage or parse error, 2 stable-range violation,
 3 verification mismatch.
 
 If BRANCHKIT_CACHE names a file, the Littlewood-Richardson memo is loaded
-from it on startup and written back on exit when the command added to it;
-otherwise the cache is in-memory only.  A cache file that cannot be read,
-parsed or written draws a warning on stderr and is ignored; the exit code
-stays the command's own.
+from it on startup and written back on exit; otherwise the cache is
+in-memory only.  A cache file that cannot be read, parsed or written draws
+a warning on stderr and is ignored; the exit code stays the command's own.
 """
 
 from __future__ import annotations
@@ -290,24 +289,17 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _load_cache(path: str) -> int | None:
-    """Load the memo file; the number of expansions it held, or None when
-    it was missing or could not be read."""
+def _load_cache(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return lr.load_cache_lines(fh)
+            lr.load_cache_lines(fh)
     except FileNotFoundError:
-        return None
+        pass
     except (OSError, ValueError) as exc:
         print(f"warning: ignoring cache file {path}: {exc}", file=sys.stderr)
-        return None
 
 
-def _save_cache(path: str, loaded: int | None):
-    """Write the memo back, unless the file was read whole and the memo
-    still holds just the expansions it loaded."""
-    if loaded is not None and lr.cache_size() == loaded:
-        return
+def _save_cache(path: str):
     # one temporary file per process, so concurrent runs never share one
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
@@ -325,7 +317,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     cache_path = os.environ.get("BRANCHKIT_CACHE")
-    loaded = _load_cache(cache_path) if cache_path else None
+    if cache_path:
+        _load_cache(cache_path)
     try:
         code = args.func(args)
     except StableRangeViolation as exc:
@@ -336,7 +329,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     finally:
         if cache_path:
-            _save_cache(cache_path, loaded)
+            _save_cache(cache_path)
     return code
 
 

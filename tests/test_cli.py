@@ -1,8 +1,6 @@
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -166,33 +164,6 @@ def test_unwritable_cache_keeps_exit_code(tmp_path, monkeypatch, capsys):
                            "--big", "[1]", "--small", "[1]", "[1]")
     assert code == 2
     assert "warning:" in err and "2.1.2" in err
-
-
-def _cli_process(cache, *argv):
-    """One branchkit run in a fresh interpreter, as a user starts it."""
-    env = dict(os.environ, BRANCHKIT_CACHE=str(cache))
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "branchkit", *argv],
-                          env=env, capture_output=True, text=True, timeout=60)
-
-
-def test_cache_file_left_alone_when_nothing_is_new(tmp_path):
-    cache = tmp_path / "lr-cache.txt"
-    argv = ("lr", "--outer", "[3,2,1]", "--left", "[2,1]", "--right", "[2,1]")
-    assert _cli_process(cache, *argv).returncode == 0
-    stat = cache.stat()
-    before = (cache.read_bytes(), stat.st_mtime_ns, stat.st_ino)
-    proc = _cli_process(cache, *argv)
-    assert proc.returncode == 0 and json.loads(proc.stdout)["result"] == 2
-    stat = cache.stat()
-    assert (cache.read_bytes(), stat.st_mtime_ns, stat.st_ino) == before
-    # a run that computes a new expansion still writes the file
-    proc = _cli_process(cache, "lr", "--outer", "[4,1]", "--left", "[2]",
-                        "--right", "[2,1]")
-    assert proc.returncode == 0 and json.loads(proc.stdout)["result"] == 1
-    assert "4.1|2.1|" in cache.read_text()
 
 
 def test_console_entry_point_subprocess():
