@@ -4,6 +4,8 @@ Every rule is a finite sum of products of Littlewood-Richardson
 coefficients.  The sums are quantified over "all partitions" but LR support
 truncates them: each summation variable is enumerated through the skew
 expansion of a fixed outer shape, never by filtering a partition universe.
+A full decomposition (branch_decompose) expands its rule's sum from the big
+side, so its cost follows the size of its output, not a candidate count.
 
 Pair identifiers (the external interface):
 
@@ -35,7 +37,9 @@ theorems that the bilinear rules generalize.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
+from math import inf
 
 from .errors import InvalidLabel, StableRangeViolation, UnknownPair
 from .lr import (
@@ -44,6 +48,7 @@ from .lr import (
     expansion_dot,
     lr_coeff,
     skew_expand,
+    tensor_expand,
 )
 # PAIR_IDS and PairRule are imported for callers of this module
 from .pairs import PAIR_IDS, PAIRS, RULE_ID, PairRule, rule_of, torus_rank
@@ -52,7 +57,6 @@ from .partitions import (
     Partition,
     first_two_columns,
     meet,
-    partitions_of,
     subpartitions,
 )
 
@@ -244,8 +248,8 @@ def validate_stable_range(q: BranchingQuery) -> BranchingQuery:
 def decompose_range_violations(pair: str, big, ranks) -> list[str]:
     """The rule's hypotheses that involve only the side being decomposed.
 
-    The small-side inequalities are enforced per candidate by
-    branch_decompose's length caps."""
+    The small-side inequalities hold for every label branch_decompose
+    returns: its length caps keep them."""
     if rule_of(pair).kind == "diag":
         return range_violations(pair, ranks, small=big)
     return range_violations(pair, ranks, big=big)
@@ -268,31 +272,26 @@ def diagonal_gl_sum(
     """
     if lam.degree() != mu.degree() + nu.degree():
         return 0
-    if caps is not None:
-        p, q, r, s = caps
-        g1cap, g2cap = min(p, s), min(q, r)
-
-    def ok(part: Partition, cap: int) -> bool:
-        return len(part) <= cap
-
+    p, q, r, s = (inf,) * 4 if caps is None else caps
+    g1cap, g2cap = min(p, s), min(q, r)
     total = 0
     for a1 in subpartitions(meet(lam.plus, mu.plus)):
-        if caps is not None and not ok(a1, p):
+        if len(a1) > p:
             continue
         for g1, c2 in skew_expand(mu.plus, a1).items():
-            if caps is not None and not ok(g1, g1cap):
+            if len(g1) > g1cap:
                 continue
             for b2, c3 in skew_expand(nu.minus, g1).items():
-                if caps is not None and not ok(b2, s):
+                if len(b2) > s:
                     continue
                 for b1, c4 in skew_expand(lam.minus, b2).items():
-                    if caps is not None and not ok(b1, q):
+                    if len(b1) > q:
                         continue
                     for g2, c5 in skew_expand(mu.minus, b1).items():
-                        if caps is not None and not ok(g2, g2cap):
+                        if len(g2) > g2cap:
                             continue
                         for a2, c6 in skew_expand(nu.plus, g2).items():
-                            if caps is not None and not ok(a2, r):
+                            if len(a2) > r:
                                 continue
                             c1 = lr_coeff(lam.plus, a2, a1)
                             if c1:
@@ -303,16 +302,13 @@ def diagonal_gl_sum(
 def diagonal_onsp_sum(lam: Partition, mu: Partition, nu: Partition) -> int:
     """Σ_{α,β,γ} c^λ_{αβ} c^μ_{αγ} c^ν_{βγ} (orthogonal and symplectic
     tensor products share this shape)."""
-    asize2 = sum(lam) + sum(mu) - sum(nu)
-    if asize2 < 0 or asize2 % 2:
+    asize, odd = divmod(sum(lam) + sum(mu) - sum(nu), 2)
+    if odd:
         return 0
-    asize = asize2 // 2
     total = 0
     for alpha in subpartitions(meet(lam, mu), asize):
         sk_lam = skew_expand(lam, alpha)  # β -> c^λ_{αβ}
         sk_mu = skew_expand(mu, alpha)    # γ -> c^μ_{αγ}
-        if not sk_mu:
-            continue
         for beta, c_lam in sk_lam.items():
             total += c_lam * expansion_dot(sk_mu, skew_expand(nu, beta))
     return total
@@ -349,8 +345,7 @@ def direct_sum_onsp_sum(
     """Σ_{γ,δ} c^γ_{μν} c^λ_{γ 2δ} with 2δ running over even rows for the
     orthogonal case and even columns ((2δ)') for the symplectic case."""
     s = sum(mu) + sum(nu)
-    rem = sum(lam) - s
-    if rem < 0 or rem % 2:
+    if (sum(lam) - s) % 2:
         return 0
     even_sum = even_row_sum if even_mode == "rows" else even_column_sum
     total = 0
@@ -362,49 +357,38 @@ def direct_sum_onsp_sum(
 
 
 def polarization_sum(lam: Partition, mu: GLLabel, even_mode: str) -> int:
-    """Σ_{γ,δ} c^γ_{μ+μ-} c^λ_{γ ...}: even columns pair with the
-    orthogonal group, even rows with the symplectic group."""
-    s = mu.total_size()
-    rem = sum(lam) - s
-    if rem < 0 or rem % 2:
-        return 0
-    even_sum = even_column_sum if even_mode == "columns" else even_row_sum
-    total = 0
-    for gamma in subpartitions(lam, s):
-        c1 = lr_coeff(gamma, mu.plus, mu.minus)
-        if c1:
-            total += c1 * even_sum(skew_expand(lam, gamma))
-    return total
+    """Σ_{γ,δ} c^γ_{μ+μ-} c^λ_{γ ...}: the direct-sum sum with μ+ and μ- as
+    the two factors (even columns pair with the orthogonal group, even rows
+    with the symplectic group)."""
+    return direct_sum_onsp_sum(lam, mu.plus, mu.minus, even_mode)
 
 
 def bilinear_sum(lam: GLLabel, mu: Partition, even_mode: str) -> int:
     """Σ_{α,β,γ,δ} c^μ_{αβ} c^{λ+}_{α 2γ} c^{λ-}_{β 2δ} (even rows) or the
     even-column variant for the symplectic subgroup."""
+    bb = _even_weights(lam.minus, even_mode)
+    return sum(wa * expansion_dot(skew_expand(mu, alpha), bb)
+               for alpha, wa in _even_weights(lam.plus, even_mode).items())
+
+
+def _even_weights(outer: Partition, even_mode: str) -> dict[Partition, int]:
+    """{α ⊆ outer: Σ_δ c^outer_{α 2δ}}, nonzero weights only; 2δ runs over
+    the even-row partitions ("rows") or the even-column ones."""
     even_sum = even_row_sum if even_mode == "rows" else even_column_sum
-
-    def even_complements(outer: Partition) -> dict[Partition, int]:
-        out = {}
-        for alpha in subpartitions(outer):
-            if (sum(outer) - sum(alpha)) % 2:
-                continue
-            w = even_sum(skew_expand(outer, alpha))
-            if w:
-                out[alpha] = w
-        return out
-
-    aa = even_complements(lam.plus)
-    if not aa:
-        return 0
-    bb = even_complements(lam.minus)
-    if not bb:
-        return 0
-    total = 0
-    for alpha, wa in aa.items():
-        sk_mu = skew_expand(mu, alpha)  # β -> c^μ_{αβ}
-        if not sk_mu:
+    out = {}
+    for alpha in subpartitions(outer):
+        if (sum(outer) - sum(alpha)) % 2:
             continue
-        total += wa * sum(c * bb.get(beta, 0) for beta, c in sk_mu.items())
-    return total
+        w = even_sum(skew_expand(outer, alpha))
+        if w:
+            out[alpha] = w
+    return out
+
+
+def _coproduct(gamma: Partition):
+    """Every (a, b, c^γ_{ab}) with a nonzero coefficient."""
+    return ((a, b, c) for a in subpartitions(gamma)
+            for b, c in skew_expand(gamma, a).items())
 
 
 def littlewood_restriction(
@@ -413,26 +397,20 @@ def littlewood_restriction(
     """Restriction multiplicity from GL to the orthogonal or symplectic
     subgroup: Σ_{2δ} c^λ_{μ 2δ} (O) or Σ c^λ_{μ (2δ)'} (Sp)."""
     if family == "O":
-        violations = []
-        if 2 * len(lam) > rank:
-            violations.append(f"ℓ(λ) <= n/2 fails: {len(lam)} > {rank}/2")
-        if first_two_columns(mu) > rank:
-            violations.append(
-                f"(μ')₁+(μ')₂ <= n fails: {first_two_columns(mu)} > {rank}"
-            )
-        if violations:
-            raise StableRangeViolation("1.1", violations)
-        return even_row_sum(skew_expand(lam, mu))
-    if family == "Sp":
-        violations = []
-        if len(lam) > rank:
-            violations.append(f"ℓ(λ) <= n fails: {len(lam)} > {rank}")
-        if len(mu) > rank:
-            violations.append(f"ℓ(μ) <= n fails: {len(mu)} > {rank}")
-        if violations:
-            raise StableRangeViolation("1.2", violations)
-        return even_column_sum(skew_expand(lam, mu))
-    raise InvalidLabel(f"family must be 'O' or 'Sp', got {family!r}")
+        rule_id, even_sum, checks = "1.1", even_row_sum, [
+            (2 * len(lam) <= rank, f"ℓ(λ) <= n/2 fails: {len(lam)} > {rank}/2"),
+            (first_two_columns(mu) <= rank,
+             f"(μ')₁+(μ')₂ <= n fails: {first_two_columns(mu)} > {rank}")]
+    elif family == "Sp":
+        rule_id, even_sum, checks = "1.2", even_column_sum, [
+            (len(lam) <= rank, f"ℓ(λ) <= n fails: {len(lam)} > {rank}"),
+            (len(mu) <= rank, f"ℓ(μ) <= n fails: {len(mu)} > {rank}")]
+    else:
+        raise InvalidLabel(f"family must be 'O' or 'Sp', got {family!r}")
+    violations = [text for holds, text in checks if not holds]
+    if violations:
+        raise StableRangeViolation(rule_id, violations)
+    return even_sum(skew_expand(lam, mu))
 
 
 # ---------------------------------------------------------------------------
@@ -493,115 +471,103 @@ def branching_multiplicity(q: BranchingQuery, unsafe: bool = False) -> int:
 # full decompositions
 
 
+def _cross(a: dict, b: dict):
+    """Every (x, y, a[x]·b[y])."""
+    return ((x, y, c * d) for x, c in a.items() for y, d in b.items())
+
+
+def _products(terms, cap: int) -> dict[Partition, int]:
+    """Σ w·s_x·s_y over the (x, y, w) terms, keeping the constituents with
+    at most cap parts; each unordered pair {x, y} is expanded once."""
+    pairs: dict = defaultdict(int)
+    for x, y, w in terms:
+        pairs[min(x, y), max(x, y)] += w
+    out: dict = defaultdict(int)
+    for (x, y), w in pairs.items():
+        for lam, c in tensor_expand(x, y, cap).items():
+            out[lam] += w * c
+    return out
+
+
 def branch_decompose(pair: str, big, ranks=None, bound: int | None = None) -> dict:
     """All small labels with nonzero multiplicity under the named rule.
 
     ``big`` is the big-side data: a GLLabel or partition, or a pair of them
     for the diagonal rules (the two tensor factors).  ``ranks`` is (n,) or
-    (n, m) as the pair expects; candidates are capped at the rule's
+    (n, m) as the pair expects; labels are capped at the rule's
     stable-range lengths for those ranks, so every key of the result is a
     valid query.  The direct-sum rules have no rank-dependent caps and
-    accept ranks=None.  ``bound`` optionally caps candidate label sizes.
+    accept ranks=None.  ``bound`` optionally caps label sizes: each
+    factor's for the direct sums, |λ+|+|λ-| for a GL label, |λ| otherwise.
+
+    The rule's sum is expanded from the big side: skew expansions of the
+    big labels, then LR products (tensor_expand) or coproducts of what is
+    left, each term adding to the labels it produces.  No small label is
+    guessed, so the cost follows the size of the output.
 
     The big side must itself satisfy the rule's hypotheses at ``ranks``
     (use validate_stable_range on a query first if unsure).
     """
     rule = rule_of(pair)
-    out: dict = {}
-
-    def keep(key, value):
-        if value:
-            out[key] = value
-
-    def sizes(total: int) -> range:
-        hi = total if bound is None else min(total, bound)
-        return range(hi, -1, -1)
-
+    limit = inf if bound is None else bound
+    out: dict = defaultdict(int)
     if rule.kind == "diag" and rule.big == "GL":
+        # κ cancels between μ+ and ν-, τ between ν+ and μ-
         mu, nu = big
         n = ranks[0]
-        splus = sum(mu.plus) + sum(nu.plus)
-        sminus = sum(mu.minus) + sum(nu.minus)
-        lp_cap = min(len(mu.plus) + len(nu.plus), n)
-        lm_cap = min(len(mu.minus) + len(nu.minus), n)
-        for k in range(0, min(splus, sminus) + 1):
-            if bound is not None and (splus - k) + (sminus - k) > bound:
-                continue
-            for lp in partitions_of(splus - k, max_length=lp_cap):
-                for lm in partitions_of(sminus - k, max_length=lm_cap):
-                    if len(lp) + len(lm) > n:
-                        continue
-                    lam = GLLabel(lp, lm)
-                    keep(lam, diagonal_gl_sum(lam, mu, nu))
+        total = mu.total_size() + nu.total_size()
+        for kappa in subpartitions(meet(mu.plus, nu.minus)):
+            for tau in subpartitions(meet(nu.plus, mu.minus)):
+                if total - 2 * (sum(kappa) + sum(tau)) > limit:
+                    continue
+                plus = _products(_cross(skew_expand(mu.plus, kappa),
+                                        skew_expand(nu.plus, tau)), n)
+                minus = _products(_cross(skew_expand(nu.minus, kappa),
+                                         skew_expand(mu.minus, tau)), n)
+                for lp, cp in plus.items():
+                    for lm, cm in minus.items():
+                        if len(lp) + len(lm) <= n:
+                            out[GLLabel(lp, lm)] += cp * cm
     elif rule.kind == "diag":
+        # α is the part the two factors share: λ ∈ (μ/α)·(ν/α)
         mu, nu = big
         total = sum(mu) + sum(nu)
-        len_cap = min(len(mu) + len(nu), torus_rank(rule.small, ranks[0]))
-        for s in sizes(total):
-            if (total - s) % 2:
-                continue
-            for lam in partitions_of(s, max_length=len_cap):
-                keep(lam, diagonal_onsp_sum(lam, mu, nu))
+        out = _products(
+            (t for alpha in subpartitions(meet(mu, nu))
+             if total - 2 * sum(alpha) <= limit
+             for t in _cross(skew_expand(mu, alpha), skew_expand(nu, alpha))),
+            torus_rank(rule.small, ranks[0]))
     elif rule.kind == "sum" and rule.big == "GL":
-        lam = big
-        for mu_p in subpartitions(lam.plus):
-            for nu_p in subpartitions(lam.plus):
-                d = sum(lam.plus) - sum(mu_p) - sum(nu_p)
-                if d < 0:
-                    continue
-                sminus = sum(lam.minus) - d
-                if sminus < 0:
-                    continue
-                for mu_m in subpartitions(lam.minus):
-                    rest = sminus - sum(mu_m)
-                    if rest < 0:
-                        continue
-                    for nu_m in subpartitions(lam.minus, rest):
-                        mu = GLLabel(mu_p, mu_m)
-                        nu = GLLabel(nu_p, nu_m)
-                        if bound is not None and (
-                            mu.total_size() > bound or nu.total_size() > bound
-                        ):
-                            continue
-                        keep((mu, nu), direct_sum_gl_sum(lam, mu, nu))
+        # δ cancels between λ+ and λ-; the rest γ± splits between the factors
+        gammas: dict = defaultdict(int)
+        for delta in subpartitions(meet(big.plus, big.minus)):
+            for gp, gm, w in _cross(skew_expand(big.plus, delta),
+                                    skew_expand(big.minus, delta)):
+                gammas[gp, gm] += w
+        for (gp, gm), w in gammas.items():
+            minus = list(_coproduct(gm))
+            for mp, np_, cp in _coproduct(gp):
+                for mm, nm, cm in minus:
+                    mu, nu = GLLabel(mp, mm), GLLabel(np_, nm)
+                    if max(mu.total_size(), nu.total_size()) <= limit:
+                        out[mu, nu] += w * cp * cm
     elif rule.kind == "sum":
-        lam = big
-        for mu in subpartitions(lam):
-            if bound is not None and sum(mu) > bound:
-                continue
-            for nu in subpartitions(lam):
-                if sum(mu) + sum(nu) > sum(lam):
-                    continue
-                if (sum(lam) - sum(mu) - sum(nu)) % 2:
-                    continue
-                if bound is not None and sum(nu) > bound:
-                    continue
-                keep((mu, nu), direct_sum_onsp_sum(lam, mu, nu, rule.even))
+        # each γ with nonzero even weight on λ/γ splits between the factors
+        for gamma, w in _even_weights(big, rule.even).items():
+            for mu, nu, c in _coproduct(gamma):
+                if max(sum(mu), sum(nu)) <= limit:
+                    out[mu, nu] += w * c
     elif rule.kind == "polarization":
-        lam = big
-        len_cap = ranks[0] // 2
-        for mu_p in subpartitions(lam):
-            if len(mu_p) > len_cap:
-                continue
-            for mu_m in subpartitions(lam):
-                if len(mu_m) > len_cap:
-                    continue
-                s = sum(mu_p) + sum(mu_m)
-                if s > sum(lam) or (sum(lam) - s) % 2:
-                    continue
-                if bound is not None and s > bound:
-                    continue
-                mu = GLLabel(mu_p, mu_m)
-                keep(mu, polarization_sum(lam, mu, rule.even))
-    else:  # bilinear
-        lam = big
-        len_cap = min(len(lam.plus) + len(lam.minus),
-                      torus_rank(rule.small, ranks[0]))
-        total = lam.total_size()
-        width = (lam.plus[0] if lam.plus else 0) + (lam.minus[0] if lam.minus else 0)
-        for s in sizes(total):
-            if (total - s) % 2:
-                continue
-            for mu in partitions_of(s, max_part=width or None, max_length=len_cap):
-                keep(mu, bilinear_sum(lam, mu, rule.even))
-    return out
+        # as the sum rules, with γ split into μ+ and μ-
+        cap = ranks[0] // 2
+        for gamma, w in _even_weights(big, rule.even).items():
+            for mp, mm, c in _coproduct(gamma):
+                if sum(gamma) <= limit and max(len(mp), len(mm)) <= cap:
+                    out[GLLabel(mp, mm)] += w * c
+    else:  # bilinear: μ ∈ α·β, weighted by the even weights of λ+/α, λ-/β
+        weights = _cross(_even_weights(big.plus, rule.even),
+                         _even_weights(big.minus, rule.even))
+        out = _products(((a, b, w) for a, b, w in weights
+                         if sum(a) + sum(b) <= limit),
+                        torus_rank(rule.small, ranks[0]))
+    return dict(out)

@@ -127,12 +127,21 @@ def _labels(family: str, raw: dict[Weight, int], n: int) -> dict:
     return {read(w): m for w, m in raw.items()}
 
 
-def _so_group(n: int) -> GroupSpec:
-    """SO(n), through which O_n labels are read; O_0 and O_1 have no
-    maximal torus to read them on."""
-    if n < 2:
-        raise OutOfSafeRegime(f"O_{n} labels need n >= 2 to read through SO")
-    return SO(n)
+def _reading_group(family: str, make: Callable[[int], GroupSpec], least: int):
+    """The group make(n) through which the family's rank-n labels are read,
+    refusing n < least: O_0, O_1, GL_0 and Sp_0 have no maximal torus to
+    read labels on."""
+
+    def group(n: int) -> GroupSpec:
+        if n < least:
+            raise OutOfSafeRegime(f"{family}_{n} labels need n >= {least} "
+                                  f"to read through {make.__name__}")
+        return make(n)
+
+    return group
+
+
+_so_group = _reading_group("O", SO, 2)
 
 
 class _Family(NamedTuple):
@@ -146,9 +155,9 @@ class _Family(NamedTuple):
 
 
 _FAMILIES = {
-    "GL": _Family(GL, gl_weight, weight_to_gl_label),
+    "GL": _Family(_reading_group("GL", GL, 1), gl_weight, weight_to_gl_label),
     "O": _Family(_so_group, so_weight, _strip),
-    "Sp": _Family(Sp, sp_weight, _strip),
+    "Sp": _Family(_reading_group("Sp", Sp, 1), sp_weight, _strip),
 }
 
 

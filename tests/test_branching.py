@@ -15,6 +15,7 @@ from branchkit import (
 )
 from branchkit.lr import lr_coeff
 from branchkit.branching import (
+    PAIRS,
     decompose_range_violations,
     diagonal_gl_sum,
     diagonal_onsp_sum,
@@ -234,9 +235,58 @@ class TestBranchDecompose:
         assert branch_decompose("sp-diag", (E, E), (2,)) == {E: 1}
 
     def test_bound_caps_sizes(self):
-        full = branch_decompose("o-in-gl", L((2, 2)), (12,))
-        bounded = branch_decompose("o-in-gl", L((2, 2)), (12,), bound=2)
-        assert bounded == {k: v for k, v in full.items() if sum(k) <= 2}
+        # the bound caps each direct-sum factor, |λ+|+|λ-| of a GL label and
+        # |λ| of any other
+        def size(label):
+            if isinstance(label, GLLabel):
+                return label.total_size()
+            if label and isinstance(label[0], tuple):  # two sum factors
+                return max(size(label[0]), size(label[1]))
+            return sum(label)
+
+        for pair, big, ranks in [
+            ("gl-diag", (L((2, 1), (1,)), L((1,), (2,))), (6,)),
+            ("o-diag", ((2, 1), (2,)), (12,)),
+            ("sp-diag", ((2, 1), (1, 1)), (5,)),
+            ("gl-sum", L((2, 1), (2,)), (4, 4)),
+            ("o-sum", (3, 2), (10, 10)),
+            ("sp-sum", (2, 2, 1), (4, 4)),
+            ("gl-in-o", (3, 2), (8,)),
+            ("gl-in-sp", (2, 2, 1), (4,)),
+            ("o-in-gl", L((2, 2)), (12,)),
+            ("sp-in-gl", L((2, 1), (1, 1)), (4,)),
+        ]:
+            full = branch_decompose(pair, big, ranks)
+            assert max(size(k) for k in full) > 3, pair
+            for bound in range(-1, 4):
+                bounded = branch_decompose(pair, big, ranks, bound=bound)
+                assert bounded == {k: v for k, v in full.items()
+                                   if size(k) <= bound}, (pair, bound)
+
+    def test_length_caps_hold_outside_the_stable_range(self):
+        # where the big side breaks the rule's hypotheses, the map is the
+        # uncapped one cut down to the labels valid at the given rank
+        def fits(rule, label, n):
+            if rule.kind == "polarization":
+                return max(len(label.plus), len(label.minus)) <= n // 2
+            if rule.small == "GL":
+                return label.valid_for_rank(n)
+            return len(label) <= (n // 2 if rule.small == "O" else n)
+
+        for pair, big, n in [
+            ("gl-diag", (L((2, 1), (1,)), L((1, 1), (2,))), 4),
+            ("o-diag", ((2, 1), (1, 1)), 5),
+            ("sp-diag", ((2, 1), (1, 1)), 2),
+            ("gl-in-o", (2, 2, 1), 3),
+            ("gl-in-sp", (2, 2, 1), 2),
+            ("o-in-gl", L((2, 1), (1,)), 3),
+            ("sp-in-gl", L((2, 1), (1, 1)), 2),
+        ]:
+            full = branch_decompose(pair, big, (50,))
+            capped = {k: v for k, v in full.items()
+                      if fits(PAIRS[pair], k, n)}
+            assert capped != full, pair
+            assert branch_decompose(pair, big, (n,)) == capped, pair
 
     def test_unsafe_dispatch(self):
         q = query("o-diag", (3,), (1,), [(1,), (1,)])
@@ -270,33 +320,46 @@ def test_decompose_map_matches_single_queries():
         ("sp-sum", (2, 1), (3, 3)),
         ("gl-in-sp", (2, 2), (4,)),
         ("gl-in-o", (2, 1, 1), (8,)),
+        ("gl-diag", (L((2, 1), (1,)), L((1,), (1, 1))), (6,)),
+        ("gl-sum", L((2, 1), (1, 1)), (4, 4)),
+        ("o-in-gl", L((2, 1), (1,)), (12,)),
+        ("sp-in-gl", L((2, 1), (2,)), (4,)),
     ]
+
+    def gl_labels(size):
+        return [GLLabel(p, m) for p in partitions_up_to(size)
+                for m in partitions_up_to(size - sum(p))]
+
+    def size(label):
+        if isinstance(label, GLLabel):
+            return label.total_size()
+        if label and isinstance(label[0], tuple):  # tensor factors
+            return sum(size(x) for x in label)
+        return sum(label)
+
     for pair, big, ranks in cases:
+        rule = PAIRS[pair]
         dec = branch_decompose(pair, big, ranks)
-        if pair.endswith("diag"):
-            for lam in partitions_up_to(sum(big[0]) + sum(big[1])):
-                q = query(pair, ranks, lam, list(big))
-                if stable_range_violations(q):
-                    continue
-                assert branching_multiplicity(q) == dec.get(lam, 0), (pair, lam)
-        elif pair.endswith("sum"):
-            for mu in partitions_up_to(sum(big)):
-                for nu in partitions_up_to(sum(big) - sum(mu)):
-                    q = query(pair, ranks, big, [mu, nu])
-                    if stable_range_violations(q):
-                        continue
-                    assert branching_multiplicity(q) == dec.get((mu, nu), 0)
+        assert dec, pair
+        # every small label of size up to the big side's, in query layout
+        top = size(big)
+        if rule.small == "GL":
+            keys = gl_labels(top)
         else:
-            for a in range(sum(big) + 1):
-                for mp in partitions_up_to(a):
-                    if sum(mp) != a:
-                        continue
-                    for mm in partitions_up_to(sum(big) - a):
-                        mu = GLLabel(mp, mm)
-                        q = query(pair, ranks, big, [mu])
-                        if stable_range_violations(q):
-                            continue
-                        assert branching_multiplicity(q) == dec.get(mu, 0)
+            keys = list(partitions_up_to(top))
+        if rule.kind == "sum":
+            keys = [(mu, nu) for mu in keys for nu in keys
+                    if size(mu) + size(nu) <= top]
+        assert set(dec) <= set(keys), pair
+        for key in keys:
+            if rule.kind == "diag":
+                q = query(pair, ranks, key, list(big))
+            else:
+                q = query(pair, ranks, big, list(key) if rule.kind == "sum"
+                          else [key])
+            if stable_range_violations(q):
+                continue
+            assert branching_multiplicity(q) == dec.get(key, 0), (pair, key)
 
 
 def test_results_deterministic_under_threads():

@@ -187,6 +187,25 @@ def test_orthogonal_rank_below_two_is_out_of_safe_regime():
             oracle_decomposition(pair, ranks, big)
 
 
+def test_general_linear_and_symplectic_rank_zero_is_out_of_safe_regime():
+    # GL_0 and Sp_0 have no maximal torus, like O_0 and O_1
+    gl0 = L(E)
+    with pytest.raises(OutOfSafeRegime):
+        oracle_multiplicity(query("gl-diag", (0,), gl0, [gl0, gl0]))
+    with pytest.raises(OutOfSafeRegime):
+        oracle_multiplicity(query("sp-diag", (0,), E, [E, E]))
+    for label in (RepLabel("GL", 0, gl0), RepLabel("Sp", 0, E)):
+        with pytest.raises(OutOfSafeRegime):
+            dim_irrep(label)
+    for pair, ranks, big in [("o-in-gl", (0,), gl0), ("gl-sum", (0, 2), gl0),
+                             ("sp-sum", (2, 0), E), ("gl-in-sp", (0,), E),
+                             ("sp-in-gl", (0,), gl0)]:
+        with pytest.raises(OutOfSafeRegime):
+            oracle_decomposition(pair, ranks, big)
+    assert dim_irrep(RepLabel("GL", 1, gl0)) == 1
+    assert dim_irrep(RepLabel("Sp", 1, E)) == 1
+
+
 # (pair, ranks, big labels): every factor label the oracle returns stays in
 # the safe regime; o-sum covers odd-odd (a leftover torus coordinate),
 # odd-even and even-even splits

@@ -1,8 +1,11 @@
-"""The pair table stays the one place that tells the ten pairs apart.
+"""Structural rules, checked on the source.
 
-Every per-pair choice in the package reads the pair's rule in
-branching.PAIRS; a comparison against a pair-id literal, or a prefix or
-suffix test on a pair id, would put a per-pair fact back outside it.
+The pair table stays the one place that tells the ten pairs apart: every
+per-pair choice in the package reads the pair's rule in branching.PAIRS; a
+comparison against a pair-id literal, or a prefix or suffix test on a pair
+id, would put a per-pair fact back outside it.  The oracle and the
+character layer share no code with the LR machinery they are held
+against, and decompositions enumerate no candidate labels.
 """
 
 import ast
@@ -78,3 +81,70 @@ def test_character_layer_does_not_import_the_formulas():
     imported = {node.module for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom)}
     assert not imported & {"branching", "lr"}, imported
+
+
+def _imports_lr(tree) -> list[str]:
+    """Each import of the lr module or of a name from it, as code."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            hit = module == "lr" or module.endswith(".lr") or (
+                module in ("", "branchkit")
+                and any(a.name == "lr" for a in node.names))
+        elif isinstance(node, ast.Import):
+            hit = any(a.name.endswith(".lr") for a in node.names)
+        else:
+            continue
+        if hit:
+            found.append(ast.unparse(node))
+    return found
+
+
+def test_the_oracle_shares_no_littlewood_richardson_code():
+    """The oracle is held against the formulas, so neither it nor the
+    character layer under it may reach the LR machinery."""
+    for code in ("from .lr import lr_coeff", "from . import lr",
+                 "from branchkit.lr import skew_expand", "import branchkit.lr"):
+        assert _imports_lr(ast.parse(code)), code
+    assert not _imports_lr(ast.parse("from .partitions import GLLabel"))
+    for name in ("oracle.py", "characters.py"):
+        tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
+        assert not _imports_lr(tree), (name, _imports_lr(tree))
+
+
+# the per-cell sums, which evaluate one label at a time
+PER_CELL_SUMS = {"diagonal_gl_sum", "diagonal_onsp_sum", "direct_sum_gl_sum",
+                 "direct_sum_onsp_sum", "polarization_sum", "bilinear_sum"}
+
+
+def names_reached(source: str, start: str) -> set[str]:
+    """Every name read by the module-level function ``start`` or by a
+    function of the same module that it reaches through such names."""
+    functions = {node.name: node for node in ast.parse(source).body
+                 if isinstance(node, ast.FunctionDef)}
+    seen, todo = set(), [start]
+    while todo:
+        for node in ast.walk(functions[todo.pop()]):
+            if isinstance(node, ast.Name) and node.id not in seen:
+                seen.add(node.id)
+                if node.id in functions:
+                    todo.append(node.id)
+    return seen
+
+
+def test_the_check_sees_candidate_enumeration():
+    source = ("def branch_decompose():\n    return _helper()\n"
+              "def _helper():\n    return [bilinear_sum(m) "
+              "for m in partitions_of(3)]\n")
+    assert {"bilinear_sum", "partitions_of"} <= names_reached(
+        source, "branch_decompose")
+
+
+def test_decompositions_enumerate_no_candidate_labels():
+    """branch_decompose expands each rule's sum from the big side: it
+    neither enumerates candidate small labels (partitions_of) nor
+    evaluates a per-cell sum for each, so its cost follows its output."""
+    source = (SRC / "branching.py").read_text(encoding="utf-8")
+    reached = names_reached(source, "branch_decompose")
+    assert not reached & (PER_CELL_SUMS | {"partitions_of"}), reached
