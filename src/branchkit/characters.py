@@ -14,12 +14,13 @@ Two independent routes produce them:
 
 The two are cross-checked against each other in the test suite.
 
-greedy_decompose is the one highest-weight subtraction loop: every oracle
-decomposition (decompose_character here, and in the oracle the tensor
-products and the direct-sum pairs) runs it, each caller keeping its own
-check.  decompose_character re-verifies every decomposition by rebuilding
-its input from Freudenthal weight systems.  restrict_character reads the
-embedding from the pair's rule in the pair table, pairs.PAIRS.
+greedy_decompose is the one highest-weight subtraction loop: the oracle's
+restrictions (through decompose_character here) and direct-sum pairs run
+it, each caller keeping its own check; the oracle's tensor products use the
+Brauer-Klimyk fold instead.  decompose_character re-verifies every
+decomposition by rebuilding its input from Freudenthal weight systems.
+restrict_character reads the embedding from the pair's rule in the pair
+table, pairs.PAIRS.
 
 Families: "GL" (torus rank n), "Sp" (Sp of rank n), "SOOdd" (SO(2n+1)),
 "SOEven" (SO(2n)).
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations, product
+from operator import mul
 
 from .errors import ExactnessError, NotACharacter, NotDominant
 from .pairs import rule_of, torus_rank
@@ -315,7 +317,7 @@ def irreducible_character(g: GroupSpec, weight) -> LaurentPoly:
 
 
 def _dot(a, b) -> int:
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def dominant_weights(g: GroupSpec, sizes):
@@ -459,16 +461,29 @@ def full_weight_support(g: GroupSpec, weight) -> LaurentPoly:
     return out
 
 
+def _root_product(family: str, x) -> int:
+    """∏ <x, α> over the positive roots α (those of positive_roots)."""
+    out = 1
+    for i, a in enumerate(x):
+        for b in x[i + 1:]:
+            out *= a - b  # e_i - e_j
+            if family != "GL":
+                out *= a + b  # e_i + e_j
+        if family == "Sp":
+            out *= 2 * a  # 2e_i
+        elif family == "SOOdd":
+            out *= a  # e_i
+    return out
+
+
 def dim_of_weight(g: GroupSpec, weight) -> int:
-    """Dimension by the Weyl product formula (any rank)."""
+    """Dimension by the Weyl product formula (any rank), on the doubled
+    vectors 2λ+2ρ and 2ρ."""
     w = ensure_dominant(g, weight)
     tr = two_rho(g)
-    doubled = tuple(2 * x + r for x, r in zip(w, tr))
-    num = den = 1
-    for alpha in positive_roots(g):
-        num *= _dot(doubled, alpha)
-        den *= _dot(tr, alpha)
-    d, rest = divmod(num, den)
+    doubled = [2 * x + r for x, r in zip(w, tr)]
+    d, rest = divmod(_root_product(g.family, doubled),
+                     _root_product(g.family, tr))
     if rest:
         raise ExactnessError("Weyl dimension formula gave a non-integer")
     return d

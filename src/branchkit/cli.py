@@ -152,6 +152,9 @@ def cmd_decompose(args) -> int:
             raise ParseError(f"{pair} decomposition needs --big")
         big = _parse_label(args.big, rule.big)
         echo = {"big": _format_label(big)}
+    for rank in ranks:  # as branch does, through RepLabel.validate
+        if rank < 0:
+            raise InvalidLabel(f"negative rank {rank}")
     violations = decompose_range_violations(pair, big, ranks)
     record = {"pair": pair, "ranks": list(ranks)}
     record.update(echo)

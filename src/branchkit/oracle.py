@@ -6,17 +6,18 @@ substitute the subgroup's torus, decompose into the subgroup's irreducible
 characters, translate dominant weights back to labels.  The pipeline reads
 the pair's rule in the pair table pairs.PAIRS (its kind, families and rank
 scale), and one map per label family names the group, the label's weight
-and the weight's label; no code here branches on a pair id.  Every
-decomposition, whether of a restriction, a tensor product or a direct sum,
-runs the one greedy loop characters.greedy_decompose and keeps its own
-check.
+and the weight's label; no code here branches on a pair id.  Restrictions
+and the direct-sum pairs are decomposed by the one greedy loop
+characters.greedy_decompose, tensor products by the Brauer-Klimyk fold;
+each keeps its own check.
 
 Tensor products (the diagonal pairs) are decomposed without materializing
-the product polynomial: by Weyl symmetry a product is determined by its
-coefficients on dominant weights, and each such coefficient is a single
-convolution of one factor's full weight system against the other's.  Every
-decomposition is balanced against Weyl dimensions, so a dropped or spurious
-constituent cannot pass silently.
+the product polynomial: Klimyk's formula folds the smaller factor's weight
+system onto the larger highest weight, reflecting each shifted weight into
+the dominant chamber with its sign (decompose_tensor).  A negative
+multiplicity raises NotACharacter, and every decomposition is balanced
+against Weyl dimensions, so a dropped or spurious constituent cannot pass
+silently.
 
 Orthogonal labels are read through SO characters.  That is faithful for
 ℓ(λ) < n/2 (the safe regime).  Self-associate labels at ℓ(λ) = n/2 appear
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 from itertools import product
 from math import comb
+from operator import add
 from types import MappingProxyType
 from typing import Callable, NamedTuple
 
@@ -41,13 +43,13 @@ from .characters import (
     Weight,
     decompose_character,
     dim_of_weight,
-    dominant_candidates,
     dominant_rep,
     dominant_weights,
     full_weight_support,
     greedy_decompose,
     is_dominant,
     restrict_character,
+    two_rho,
     weight_multiplicities,
 )
 from .errors import (
@@ -187,34 +189,84 @@ def dim_irrep(label: RepLabel) -> int:
 
 
 # ---------------------------------------------------------------------------
-# tensor-product decomposition via dominant-sector convolution
+# tensor-product decomposition by the Brauer-Klimyk fold
+
+
+def _sign(x: list) -> int:
+    """The sign of the permutation sorting x's distinct entries down."""
+    inversions = 0
+    for i, a in enumerate(x):
+        for b in x[i + 1:]:
+            if a < b:
+                inversions += 1
+    return -1 if inversions % 2 else 1
+
+
+def _fold(family: str, top: list, weights) -> dict[Weight, int]:
+    """Σ m·det(w)·[w(x)] over the weights u (multiplicity m) of one factor,
+    where x = top + 2u and w takes x into the dominant chamber; a term whose
+    x lies on a wall (is fixed by a reflection) vanishes and is skipped."""
+    acc: dict[Weight, int] = {}
+    n = len(top)
+    if family == "GL":  # W permutes the entries
+        for u, m in weights:
+            x = list(map(add, top, map(add, u, u)))
+            y = sorted(x, reverse=True)
+            if len(set(y)) < n:
+                continue
+            if y != x:
+                m *= _sign(x)
+            y = tuple(y)
+            acc[y] = acc.get(y, 0) + m
+        return acc
+    # W also changes signs: any number of them for Sp and SOOdd (each one a
+    # reflection in the root 2e_i or e_i), an even number for SOEven (det 1)
+    reflects = family != "SOEven"
+    for u, m in weights:
+        x = list(map(add, top, map(add, u, u)))
+        if reflects and 0 in x:
+            continue
+        a = list(map(abs, x))
+        y = sorted(a, reverse=True)
+        if len(set(y)) < n:
+            continue
+        if y != a:
+            m *= _sign(a)
+        if a != x and len([v for v in x if v < 0]) % 2:
+            if reflects:
+                m = -m
+            elif y[-1]:  # no zero entry to absorb the odd sign change
+                y[-1] = -y[-1]
+        y = tuple(y)
+        acc[y] = acc.get(y, 0) + m
+    return acc
 
 
 def decompose_tensor(g: GroupSpec, w1: Weight, w2: Weight) -> dict[Weight, int]:
     """Irreducible content of the product character chi_{w1}·chi_{w2}.
 
-    The product's coefficient at each candidate dominant weight w is the
-    convolution sum over one factor's full weight system; greedy subtraction
-    then runs entirely inside the dominant sector.  The result is balanced
-    against Weyl dimensions before being returned.
+    Klimyk's formula folds the smaller factor's weight system onto the
+    larger highest weight λ: χ_λ·χ_μ = Σ_u m_μ(u) det(w) χ_{w(λ+u+ρ)-ρ},
+    over the weights u of μ, with w taking λ+u+ρ to the dominant chamber
+    and terms on a wall dropped.  The vectors are doubled so that SOOdd's
+    half-integral ρ stays integral.  A negative multiplicity raises
+    NotACharacter, and the result is balanced against Weyl dimensions
+    before being returned, keys in decreasing lexicographic order.
     """
     d1 = dim_of_weight(g, w1)
     d2 = dim_of_weight(g, w2)
     if d1 > d2:
         w1, w2, d1, d2 = w2, w1, d2, d1
-    supp = list(full_weight_support(g, w1).items())
-    other = full_weight_support(g, w2)
-    rem: dict[Weight, int] = {}
-    # every constituent lies below w1+w2 in dominance order
-    for w in dominant_candidates(g, tuple(a + b for a, b in zip(w1, w2))):
-        c = 0
-        for u, cu in supp:
-            cv = other.get(tuple(a - b for a, b in zip(w, u)))
-            if cv:
-                c += cu * cv
-        if c:
-            rem[w] = c
-    out = greedy_decompose(rem, lambda w: weight_multiplicities(g, w))
+    tr = two_rho(g)
+    top = [2 * a + r for a, r in zip(w2, tr)]
+    acc = _fold(g.family, top, full_weight_support(g, w1).items())
+    out: dict[Weight, int] = {}
+    for y in sorted(acc, reverse=True):
+        m = acc[y]
+        if m < 0:
+            raise NotACharacter(f"negative multiplicity {m} at {y}")
+        if m:
+            out[tuple((a - r) // 2 for a, r in zip(y, tr))] = m
     mass = sum(m * dim_of_weight(g, w) for w, m in out.items())
     if mass != d1 * d2:
         raise ExactnessError(

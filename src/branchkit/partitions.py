@@ -47,9 +47,15 @@ def parse_partition(text: str) -> Partition:
     parts = []
     for tok in s.split(","):
         tok = tok.strip()
-        if not tok or not (tok.isdigit() or (tok[0] == "-" and tok[1:].isdigit())):
-            raise ParseError(f"bad partition token {tok!r} in {text!r}")
-        parts.append(int(tok))
+        # isdecimal, not isdigit, which also takes digits such as "²" that
+        # int() refuses; int() also refuses a token past its digit limit
+        try:
+            if tok.removeprefix("-").isdecimal():
+                parts.append(int(tok))
+                continue
+        except ValueError:
+            pass
+        raise ParseError(f"bad partition token {tok!r} in {text!r}")
     if any(p < 0 for p in parts):
         raise ParseError(f"negative part in {text!r}")
     return ensure_partition(parts)

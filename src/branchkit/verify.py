@@ -32,7 +32,8 @@ from .lr import lr_coeff
 from .oracle import duality_dim_check, oracle_decomposition
 from .partitions import GLLabel, Partition, partitions_up_to
 
-DEFAULT_MAX_SIZE = {pair: 5 for pair in PAIR_IDS} | {"gl-diag": 4}
+DEFAULT_MAX_SIZE = {pair: 5 for pair in PAIR_IDS} | {
+    "o-diag": 6, "sp-diag": 6, "gl-diag": 5}
 
 
 @dataclass

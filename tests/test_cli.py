@@ -212,3 +212,29 @@ def test_verify_mismatch_exit_three(capsys, monkeypatch):
                            "--max-size", "1")
     assert code == 3
     assert "first counterexample" in out
+
+
+def test_decompose_rejects_negative_rank(capsys):
+    code, out, err = run_cli(
+        capsys, "decompose", "--pair", "o-diag", "-n", "-2",
+        "--mu", "[1]", "--nu", "[1]", "--unsafe")
+    assert code == 1 and out == ""
+    assert err == "error: negative rank -2\n"
+    code, _, err = run_cli(
+        capsys, "decompose", "--pair", "gl-sum", "-n", "3", "-m", "-1",
+        "--big", "[1]", "--unsafe")
+    assert code == 1 and err == "error: negative rank -1\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["lr", "--outer", "[3,²]", "--left", "[2]", "--right", "[1]"],
+    ["branch", "--pair", "gl-diag", "-n", "3", "--big", "[1]/[²]",
+     "--small", "[1]", "[]"],
+])
+def test_unicode_digit_is_a_parse_error(argv):
+    proc = subprocess.run(
+        [sys.executable, "-m", "branchkit", *argv],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: bad partition token '²'")
+    assert "Traceback" not in proc.stderr

@@ -1,10 +1,12 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from branchkit import query
 from branchkit.branching import RepLabel
 from branchkit.characters import (
     GL,
     SO,
+    GroupSpec,
     Sp,
     decompose_character,
     full_weight_support,
@@ -13,7 +15,12 @@ from branchkit.characters import (
     poly_mul,
     restrict_character,
 )
-from branchkit.errors import OutOfSafeRegime, StableRangeViolation
+from branchkit.errors import (
+    ExactnessError,
+    NotACharacter,
+    OutOfSafeRegime,
+    StableRangeViolation,
+)
 from branchkit.oracle import (
     decompose_tensor,
     dim_irrep,
@@ -32,6 +39,13 @@ E = ()
 
 def L(plus, minus=()):
     return GLLabel(tuple(plus), tuple(minus))
+
+
+def _slow_tensor(g, w1, w2):
+    """chi_w1·chi_w2 multiplied out and decomposed by the greedy loop, as
+    (weight, multiplicity) pairs in the loop's decreasing order."""
+    product = poly_mul(full_weight_support(g, w1), full_weight_support(g, w2))
+    return list(decompose_character(product, g).items())
 
 
 class TestTranslation:
@@ -82,7 +96,7 @@ class TestOracleExamples:
 
     def test_fast_tensor_path_equals_slow_pipeline(self):
         # explicit poly product + greedy decomposition, against the
-        # dominant-sector convolution
+        # Brauer-Klimyk fold; the later cases put many fold terms on walls
         cases = [
             (GL(3), (2, 1, 0), (1, 1, 0)),
             (GL(3), (2, 0, -1), (1, 0, -1)),
@@ -92,13 +106,16 @@ class TestOracleExamples:
             (SO(7), (1, 1, 1), (2, 0, 0)),
             (SO(8), (1, 1, 1, 1), (1, 0, 0, 0)),
             (SO(8), (1, 1, 1, -1), (1, 1, 0, 0)),
+            (Sp(3), (1, 0, 0), (1, 0, 0)),
+            (Sp(4), (2, 0, 0, 0), (1, 1, 0, 0)),
+            (SO(7), (1, 0, 0), (1, 0, 0)),
+            (SO(9), (2, 0, 0, 0), (1, 1, 0, 0)),
+            (SO(8), (1, 1, 1, 1), (1, 1, 1, -1)),
+            (SO(8), (1, 1, 1, -1), (1, 1, 1, -1)),
         ]
         for g, w1, w2 in cases:
-            slow = decompose_character(
-                poly_mul(full_weight_support(g, w1), full_weight_support(g, w2)),
-                g)
-            fast = decompose_tensor(g, w1, w2)
-            assert slow == fast, (g, w1, w2)
+            fast = list(decompose_tensor(g, w1, w2).items())
+            assert fast == _slow_tensor(g, w1, w2), (g, w1, w2)
 
     def test_polarization_oracle_example(self):
         # E^(1)_(O12) restricted to GL6 is the standard plus its dual
@@ -241,3 +258,60 @@ def test_direct_sum_oracle_rebuilds_the_restriction(pair, ranks, bigs):
             poly_add_scaled(rebuilt, product, mult)
         big = irreducible_character(group(n + m), weight(lam, n + m))
         assert rebuilt == restrict_character(big, pair, ranks), (pair, lam)
+
+
+@st.composite
+def _dominant_pairs(draw):
+    # two dominant weights of one group; entries stay small so that the
+    # multiplied-out product is cheap
+    family = draw(st.sampled_from(["GL", "Sp", "SOOdd", "SOEven"]))
+    rank = draw(st.integers(min_value=1, max_value=4))
+    low = -2 if family == "GL" else 0
+    pair = []
+    for _ in range(2):
+        w = sorted(draw(st.lists(st.integers(low, 2), min_size=rank,
+                                 max_size=rank)), reverse=True)
+        if family == "SOEven" and draw(st.booleans()):
+            w[-1] = -w[-1]
+        pair.append(tuple(w))
+    return GroupSpec(family, rank), pair[0], pair[1]
+
+
+@settings(max_examples=80, deadline=None)
+@given(_dominant_pairs())
+def test_fold_matches_multiplied_out_product(case):
+    g, w1, w2 = case
+    assert list(decompose_tensor(g, w1, w2).items()) == \
+        _slow_tensor(g, w1, w2)
+
+
+@pytest.mark.parametrize("g,w1,w2,caught", [
+    (GL(3), (1, 0, 0), (1, 1, 0), {ExactnessError}),
+    (Sp(2), (1, 0), (1, 1), {ExactnessError}),
+    (SO(7), (1, 0, 0), (1, 1, 0), {ExactnessError, NotACharacter}),
+    (SO(8), (1, 1, 1, 1), (1, 1, 1, -1), {ExactnessError, NotACharacter}),
+])
+def test_fold_checks_catch_a_dropped_weight(monkeypatch, g, w1, w2, caught):
+    # the fold reads the smaller factor's weight system (here w1's); with
+    # any one weight missing, decompose_tensor raises, unless that weight's
+    # term lies on a wall and so contributes nothing
+    import branchkit.oracle as oracle
+
+    truth = decompose_tensor(g, w1, w2)
+    real = oracle.full_weight_support
+    raised = set()
+    for dropped in list(real(g, w1)):
+        def lossy(group, w, dropped=dropped):
+            system = dict(real(group, w))
+            if w == w1:
+                del system[dropped]
+            return system
+
+        monkeypatch.setattr(oracle, "full_weight_support", lossy)
+        try:
+            out = decompose_tensor(g, w1, w2)
+        except (NotACharacter, ExactnessError) as exc:
+            raised.add(type(exc))
+        else:
+            assert dropped != w1 and out == truth, dropped
+    assert raised == caught

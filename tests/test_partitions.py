@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from branchkit.errors import NotAPartition, ParseError
 from branchkit.partitions import (
@@ -33,6 +33,30 @@ def test_parse_basic():
     assert parse_partition("3,2,1") == (3, 2, 1)
     assert parse_partition("[]") == ()
     assert parse_partition("  [ 4 , 4 ] ") == (4, 4)
+
+
+# arbitrary text, and bracketed lists of tokens built from digits, signs,
+# spaces and non-ASCII digits (which isdigit() accepts but int() may not)
+_label_text = st.one_of(
+    st.text(max_size=30),
+    st.lists(st.text(alphabet="0123456789-+ _.²³١٢", max_size=4),
+             max_size=5).map(lambda toks: "[" + ",".join(toks) + "]"),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_label_text, _label_text)
+def test_parsers_return_a_label_or_a_typed_error(left, right):
+    for text in (left, f"{left}/{right}"):
+        for parse in (parse_partition, parse_gl_label):
+            try:
+                label = parse(text)
+            except (ParseError, NotAPartition):
+                continue
+            # a GLLabel is the pair of its partitions
+            for part in (label,) if parse is parse_partition else label:
+                assert ensure_partition(part) == part, (text, label)
+                assert all(type(x) is int for x in part), (text, label)
 
 
 def test_parse_drops_zeros():
