@@ -11,6 +11,12 @@ Two independent routes produce them:
 
   * weight_multiplicities + orbit expansion: Freudenthal's recursion on
     dominant weights.  Scales to the ranks the verification grids need.
+    orbit_vectors expands a dominant weight's Weyl orbit with itertools,
+    with no recursion: each distinct entry (of the absolute values, off
+    GL) but the most frequent takes a combination of the positions left
+    free, the most frequent fills the rest, and itertools.product runs
+    over the signs of the nonzero entries (SO(2n) with no zero entry: the
+    first n-1, the last sign set by parity).
 
 The two are cross-checked against each other in the test suite.
 
@@ -31,8 +37,9 @@ immutable keys, so concurrent use at worst recomputes an entry.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from operator import mul
 
 from .errors import ExactnessError, NotACharacter, NotDominant
@@ -402,45 +409,56 @@ def weight_multiplicities(g: GroupSpec, weight) -> dict[Weight, int]:
     return mults
 
 
-def _multiset_permutations(values: tuple):
-    """Distinct permutations of a value multiset."""
-    values = sorted(values, reverse=True)
+def _arrangements(values):
+    """Distinct arrangements of a value multiset.  Each distinct value but
+    the most frequent takes a combination of the positions the values
+    before it left free (combinations of free-list indices, so the choices
+    are independent and one itertools.product runs them); the most
+    frequent value fills the positions left over."""
     n = len(values)
-    out: list[int] = []
-
-    def rec(pool: list):
-        if not pool:
-            yield tuple(out)
-            return
-        prev = None
-        for i, v in enumerate(pool):
-            if v == prev:
-                continue
-            prev = v
-            out.append(v)
-            yield from rec(pool[:i] + pool[i + 1:])
-            out.pop()
-
-    yield from rec(values)
+    counts = Counter(values)
+    fill = max(counts, key=counts.get)
+    placed = [v for v in counts if v != fill]
+    choices = []
+    free = n
+    for v in placed:
+        choices.append(list(combinations(range(free), counts[v])))
+        free -= counts[v]
+    filled = [fill] * n
+    positions = list(range(n))
+    for picks in product(*choices):
+        out = filled[:]
+        free_pos = positions[:]
+        for v, idx in zip(placed, picks):
+            for j in reversed(idx):
+                out[free_pos.pop(j)] = v
+        yield tuple(out)
 
 
 def orbit_vectors(g: GroupSpec, w: Weight):
-    """All distinct vectors in the Weyl orbit of a dominant weight."""
+    """All distinct vectors in the Weyl orbit of a dominant weight: the
+    arrangements of its entries (GL) or of their absolute values, each
+    expanded by itertools.product over the signs of its nonzero entries.
+    SO(2n) changes an even number of signs, so with no zero entry the
+    last sign is set by the parity of the others."""
     if g.family == "GL":
-        yield from _multiset_permutations(w)
+        yield from _arrangements(w)
         return
-    mags = tuple(abs(x) for x in w)
-    flip_parity_free = 0 in mags or g.family != "SOEven"
-    base_neg = sum(1 for x in w if x < 0)
-    for placed in _multiset_permutations(mags):
-        nz = [i for i, x in enumerate(placed) if x]
-        for signs in product((1, -1), repeat=len(nz)):
-            if not flip_parity_free and signs.count(-1) % 2 != base_neg % 2:
-                continue
-            v = list(placed)
-            for i, s in zip(nz, signs):
-                v[i] *= s
-            yield tuple(v)
+    mags = [abs(x) for x in w]
+    if g.family != "SOEven" or 0 in mags:
+        for placed in _arrangements(mags):
+            yield from product(*[(x, -x) if x else (0,) for x in placed])
+        return
+    # odd[i]: whether the i-th head of product() below has an odd number
+    # of negated entries; the last entry then flips so that the count
+    # keeps w's parity (w[-1] < 0 exactly when that parity is odd)
+    odd = [sum(bits) % 2 for bits in product((0, 1), repeat=len(w) - 1)]
+    base = int(w[-1] < 0)
+    for placed in _arrangements(mags):
+        last = (placed[-1], -placed[-1])
+        heads = product(*[(x, -x) for x in placed[:-1]])
+        for head, o in zip(heads, odd):
+            yield head + (last[o ^ base],)
 
 
 _SUPPORT_CACHE: dict[tuple[str, int, Weight], LaurentPoly] = {}

@@ -101,6 +101,8 @@ def _ranks(args, pair) -> tuple:
         if args.m is None:
             raise ParseError(f"{pair} needs both -n and -m")
         return (args.n, args.m)
+    if args.m is not None:
+        raise ParseError(f"{pair} takes only -n")
     return (args.n,)
 
 
@@ -199,6 +201,8 @@ def cmd_verify(args) -> int:
     pairs = PAIR_IDS if args.pair == "all" else (args.pair,)
     for p in pairs:
         rule_of(p)
+    if args.max_size < 0:  # a negative cap would compare nothing
+        raise ParseError(f"--max-size must be >= 0, got {args.max_size}")
     failed = False
     reports = []
     for p in pairs:

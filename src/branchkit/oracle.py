@@ -353,11 +353,14 @@ def _sum_decomposition(rule: PairRule, ranks: tuple, lam) -> dict:
         # λ's positive and negative sizes bound those of every factor weight
         pos, neg = sum(lam.plus), sum(lam.minus)
         sizes = list(product(range(pos + 1), range(neg + 1)))
+        by_sum: dict[int, list] = {}
+        for v in dominant_weights(gb, sizes):
+            by_sum.setdefault(sum(v), []).append(v)
+        total = sum(wbig)
         pairs = [
             (u, v)
             for u in dominant_weights(ga, sizes)
-            for v in dominant_weights(gb, sizes)
-            if sum(u) + sum(v) == sum(wbig)
+            for v in by_sum.get(total - sum(u), ())
         ]
     else:
         ga, gb = family.group(n), family.group(m)

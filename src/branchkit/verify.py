@@ -33,7 +33,7 @@ from .oracle import duality_dim_check, oracle_decomposition
 from .partitions import GLLabel, Partition, partitions_up_to
 
 DEFAULT_MAX_SIZE = {pair: 5 for pair in PAIR_IDS} | {
-    "o-diag": 6, "sp-diag": 6, "gl-diag": 5}
+    "o-diag": 6, "sp-diag": 6, "o-sum": 6, "sp-sum": 6, "gl-diag": 5}
 
 
 @dataclass
@@ -143,21 +143,33 @@ def _grid_labels(family: str, max_size: int) -> list:
     return gl_labels(max_size) if family == "GL" else partition_labels(max_size)
 
 
-def _depth(rule: PairRule, big, key) -> int:
-    """The largest label length (or, for GL, ℓ(+)+ℓ(-)) among the cell's
-    labels that the rule's hypotheses bound by the rank."""
+def _big_lengths(rule: PairRule, big) -> tuple[int, int]:
+    """The big side's share of its cells' depth (see _key_lengths)."""
     if rule.kind == "diag":
         mu, nu = big
-        return max(len(key), len(mu) + len(nu))
+        return len(mu) + len(nu), 0
+    if rule.kind == "sum" and rule.small == "GL":
+        return len(big.plus), len(big.minus)
+    if rule.kind == "bilinear":
+        return len(big.plus) + len(big.minus), 0
+    return len(big), 0
+
+
+def _key_lengths(rule: PairRule, key) -> tuple[int, int]:
+    """A key's share of its cell's depth: the largest label length (or,
+    for GL, ℓ(+)+ℓ(-)) among the cell's labels that the rule's hypotheses
+    bound by the rank.  With (bp, bm) the big side's share and (kp, km)
+    the key's, the depth is max(bp, kp) + max(bm, km); the second entries
+    are ℓ(-) for a GL sum and 0 for every other rule."""
     if rule.kind == "sum":
-        labels = (big,) + key
+        a, b = key
         if rule.small == "GL":
-            return (max(len(lab.plus) for lab in labels)
-                    + max(len(lab.minus) for lab in labels))
-        return max(len(lab) for lab in labels)
+            return (max(len(a.plus), len(b.plus)),
+                    max(len(a.minus), len(b.minus)))
+        return max(len(a), len(b)), 0
     if rule.kind == "polarization":
-        return max(len(big), len(key.plus), len(key.minus))
-    return max(len(big.plus) + len(big.minus), len(key))
+        return max(len(key.plus), len(key.minus)), 0
+    return len(key), 0
 
 
 def _grid(report: GridReport, max_size: int, pair: str):
@@ -176,11 +188,18 @@ def _grid(report: GridReport, max_size: int, pair: str):
     else:
         bigs = _grid_labels(rule.big, max_size)
         keys = list(product(smalls, smalls)) if rule.kind == "sum" else smalls
+    # many keys share their lengths: rank each distinct one once per big
+    lengths = [_key_lengths(rule, key) for key in keys]
+    distinct = set(lengths)
     for big in bigs:
+        bp, bm = _big_lengths(rule, big)
+        rank_of = {
+            (kp, km): max(scale * (max(bp, kp) + max(bm, km)), floor)
+            for kp, km in distinct
+        }
         by_rank: dict[int, list] = {}
-        for key in keys:
-            n = max(scale * _depth(rule, big, key), floor)
-            by_rank.setdefault(n, []).append(key)
+        for key, kl in zip(keys, lengths):
+            by_rank.setdefault(rank_of[kl], []).append(key)
         if rule.kind == "sum":  # no rank-dependent caps: one formula map
             fmap = branch_decompose(pair, big, None)
             _run_groups(report, pair, big, by_rank,

@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from branchkit.characters import (
+    FAMILIES,
     GL,
     SO,
     Sp,
@@ -19,6 +21,7 @@ from branchkit.characters import (
     two_rho,
     weight_multiplicities,
     weyl_order,
+    _signed_orbit_terms,
 )
 from branchkit.errors import NotACharacter, NotDominant, UnknownPair
 from branchkit.partitions import partitions_up_to
@@ -198,6 +201,32 @@ def test_orbit_vectors_signed_counts():
     assert len(list(orbit_vectors(GroupSpec("SOEven", 3), (1, 1, 1)))) == 4
     # a zero coordinate absorbs sign parity
     assert len(list(orbit_vectors(GroupSpec("SOEven", 3), (1, 1, 0)))) == 12
+
+
+@st.composite
+def group_and_dominant_weight(draw):
+    g = GroupSpec(draw(st.sampled_from(FAMILIES)), draw(st.integers(1, 6)))
+    raw = draw(st.lists(st.integers(-3, 3), min_size=g.torus_rank,
+                        max_size=g.torus_rank))
+    return g, dominant_rep(g, tuple(raw))
+
+
+@settings(max_examples=120, deadline=None)
+@given(group_and_dominant_weight())
+@example((GroupSpec("SOEven", 1), (-2,)))
+@example((GroupSpec("SOEven", 4), (3, 2, 1, -1)))
+@example((GroupSpec("SOEven", 6), (2, 2, 1, 1, 1, -1)))
+@example((GroupSpec("SOEven", 5), (2, 2, 1, 0, 0)))
+@example((GroupSpec("SOOdd", 6), (3, 3, 2, 0, 0, 0)))
+@example((GroupSpec("Sp", 6), (0, 0, 0, 0, 0, 0)))
+@example((GroupSpec("GL", 6), (2, 1, 1, 0, 0, -2)))
+def test_orbit_vectors_match_the_weyl_group(case):
+    # brute force: the images of w under every Weyl group element
+    g, w = case
+    vectors = list(orbit_vectors(g, w))
+    assert len(vectors) == len(set(vectors))
+    assert set(vectors) == {e for e, _ in _signed_orbit_terms(g, w)}
+    assert all(dominant_rep(g, v) == w for v in vectors)
 
 
 def test_decompose_character_roundtrip():

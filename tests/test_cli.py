@@ -238,3 +238,26 @@ def test_unicode_digit_is_a_parse_error(argv):
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: bad partition token '²'")
     assert "Traceback" not in proc.stderr
+
+
+def test_verify_rejects_negative_max_size(capsys):
+    code, out, err = run_cli(capsys, "verify", "--pair", "o-diag",
+                             "--max-size", "-1")
+    assert code == 1 and out == ""
+    assert err == "error: --max-size must be >= 0, got -1\n"
+
+
+def test_branch_rejects_m_on_one_rank_pair(capsys):
+    code, out, err = run_cli(
+        capsys, "branch", "--pair", "o-diag", "-n", "8",
+        "--big", "[1]", "--small", "[1]", "[]", "-m", "3")
+    assert code == 1 and out == ""
+    assert err == "error: o-diag takes only -n\n"
+
+
+def test_decompose_rejects_m_on_one_rank_pair(capsys):
+    code, out, err = run_cli(
+        capsys, "decompose", "--pair", "o-in-gl", "-n", "6", "-m", "2",
+        "--big", "[2]")
+    assert code == 1 and out == ""
+    assert err == "error: o-in-gl takes only -n\n"
