@@ -11,12 +11,20 @@ Two independent routes produce them:
 
   * weight_multiplicities + orbit expansion: Freudenthal's recursion on
     dominant weights.  Scales to the ranks the verification grids need.
+    Its root sum runs over the orbits of each weight's stabiliser W_mu on
+    the roots, one k-sum per orbit scaled by the number of positive roots
+    in it (Moody and Patera, Bull. AMS 7 (1982) 237-242); the orbits are
+    read in closed form from mu's blocks of equal entries (_root_orbits).
     orbit_vectors expands a dominant weight's Weyl orbit with itertools,
     with no recursion: each distinct entry (of the absolute values, off
     GL) but the most frequent takes a combination of the positions left
     free, the most frequent fills the rest, and itertools.product runs
     over the signs of the nonzero entries (SO(2n) with no zero entry: the
-    first n-1, the last sign set by parity).
+    first n-1, the last sign set by parity).  The memo _SUPPORT_CACHE
+    holds these orbits, keyed by (family, rank, dominant weight), and is
+    shared by every irreducible: full_weight_support assembles a weight
+    system {vector: m} from it afresh on each call, one dict.fromkeys per
+    dominant weight.
 
 The two are cross-checked against each other in the test suite.
 
@@ -24,7 +32,9 @@ greedy_decompose is the one highest-weight subtraction loop: the oracle's
 restrictions (through decompose_character here) and direct-sum pairs run
 it, each caller keeping its own check; the oracle's tensor products use the
 Brauer-Klimyk fold instead.  decompose_character re-verifies every
-decomposition by rebuilding its input from Freudenthal weight systems.
+decomposition by rebuilding its input: it sums the constituents' dominant
+multiplicities, expands the sums over the memoized orbits into the whole
+polynomial, and compares that with the whole input.
 restrict_character reads the embedding from the pair's rule in the pair
 table, pairs.PAIRS.
 
@@ -40,7 +50,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
-from operator import mul
+from operator import add, ge, mul, sub
 
 from .errors import ExactnessError, NotACharacter, NotDominant
 from .pairs import rule_of, torus_rank
@@ -134,11 +144,8 @@ def weyl_order(g: GroupSpec) -> int:
 
 
 def is_dominant(g: GroupSpec, w: Weight) -> bool:
-    if len(w) != g.torus_rank:
+    if len(w) != g.torus_rank or not all(map(ge, w, w[1:])):
         return False
-    for i in range(len(w) - 1):
-        if w[i] < w[i + 1]:
-            return False
     if g.family in ("Sp", "SOOdd"):
         return not w or w[-1] >= 0
     if g.family == "SOEven":
@@ -364,19 +371,78 @@ def dominant_candidates(g: GroupSpec, lam: Weight) -> list[Weight]:
     return list(dominant_weights(g, sizes))
 
 
+def _root_orbits(family: str, mu: Weight) -> list[tuple[Weight, int]]:
+    """One (root, count) per orbit of mu's stabiliser W_mu on the roots
+    that holds a positive root: the root is one of its positive members
+    and count the number of them.
+
+    Read from mu's blocks of equal entries (mu dominant): W_mu permutes
+    each block and, off GL, changes signs on the zero block, any number
+    of them for Sp and SOOdd, an even number for SOEven.  So for SOEven a
+    zero block of one entry keeps e_i - e_j and e_i + e_j (i in a nonzero
+    block) in two orbits, and a zero block of two entries keeps them apart
+    inside it.  An SOEven mu with a negative last entry is read through
+    the sign flip of that entry, the diagram automorphism, which keeps the
+    positive roots; with no zero block the table pairs each e_i - e_j with
+    e_i + e_j, so the flip maps it onto itself."""
+    n = len(mu)
+    if family == "SOEven" and n and mu[-1] < 0:
+        mu = mu[:-1] + (-mu[-1],)
+    starts = [i for i in range(n) if i == 0 or mu[i] != mu[i - 1]]
+    blocks = [(i, j - i) for i, j in zip(starts, starts[1:] + [n])]
+    zero = blocks.pop() if family != "GL" and n and mu[-1] == 0 else None
+    short = {"Sp": 2, "SOOdd": 1}.get(family)  # 2e_i or e_i
+    signs = (-1,) if family == "GL" else (-1, 1)
+
+    def root(i, j=None, sj=-1, si=1):
+        v = [0] * n
+        v[i] = si
+        if j is not None:
+            v[j] = sj
+        return tuple(v)
+
+    out = []
+    for x, (b, p) in enumerate(blocks):
+        for c, q in blocks[x + 1:]:
+            out += [(root(b, c, s), p * q) for s in signs]
+        if p > 1:
+            out += [(root(b, b + 1, s), p * (p - 1) // 2) for s in signs]
+        if short:
+            out.append((root(b, si=short), p))
+        if zero and family == "SOEven" and zero[1] == 1:
+            out += [(root(b, zero[0], s), p) for s in signs]
+        elif zero:
+            out.append((root(b, zero[0]), 2 * p * zero[1]))
+    if zero:
+        z0, z = zero
+        if family == "SOEven" and z == 2:
+            out += [(root(z0, z0 + 1, s), 1) for s in signs]
+        elif z > 1:
+            out.append((root(z0, z0 + 1), z * (z - 1)))
+        if short:
+            out.append((root(z0, si=short), z))
+    return out
+
+
 _FREUD_CACHE: dict[tuple[str, int, Weight], dict[Weight, int]] = {}
 
 
 def weight_multiplicities(g: GroupSpec, weight) -> dict[Weight, int]:
     """Dominant weight multiplicities of an irreducible, by Freudenthal's
     recursion.  The full weight system is the union of Weyl orbits of these
-    (see full_weight_support)."""
+    (see full_weight_support).
+
+    The root sum runs over the orbits of mu's stabiliser on the roots
+    (_root_orbits), not over every positive root: w in W_mu maps the
+    alpha-string through mu onto the w(alpha)-string, term for term, so
+    each orbit's k-sum is taken once, through one positive member, and
+    scaled by the number of positive roots it holds (Moody and Patera,
+    Bull. AMS 7 (1982) 237-242)."""
     lam = ensure_dominant(g, weight)
     key = (g.family, g.torus_rank, lam)
     cached = _FREUD_CACHE.get(key)
     if cached is not None:
         return cached
-    roots = positive_roots(g)
     tr = two_rho(g)
     lam_norm = _dot(lam, lam) + _dot(lam, tr)
     mults: dict[Weight, int] = {lam: 1}
@@ -387,17 +453,18 @@ def weight_multiplicities(g: GroupSpec, weight) -> dict[Weight, int]:
         if _dot(mu, tr) > height_cap:
             continue
         acc = 0
-        for alpha in roots:
-            k = 1
+        for alpha, count in _root_orbits(g.family, mu):
+            term = 0
+            v = mu
             while True:
-                v = tuple(x + k * y for x, y in zip(mu, alpha))
+                v = tuple(map(add, v, alpha))
                 rep = dominant_rep(g, v)
                 if _dot(rep, tr) > height_cap:
                     break
-                m = mults.get(rep, 0)
+                m = mults.get(rep)
                 if m:
-                    acc += m * _dot(v, alpha)
-                k += 1
+                    term += m * _dot(v, alpha)
+            acc += count * term
         if acc == 0:
             continue
         denom = lam_norm - _dot(mu, mu) - _dot(mu, tr)
@@ -461,22 +528,28 @@ def orbit_vectors(g: GroupSpec, w: Weight):
             yield head + (last[o ^ base],)
 
 
-_SUPPORT_CACHE: dict[tuple[str, int, Weight], LaurentPoly] = {}
+_SUPPORT_CACHE: dict[tuple[str, int, Weight], tuple[Weight, ...]] = {}
+
+
+def _expand(g: GroupSpec, dominant: dict[Weight, int]) -> LaurentPoly:
+    """The W-invariant polynomial whose coefficients on the dominant
+    chamber are ``dominant``, from the memoized Weyl orbits."""
+    out: LaurentPoly = {}
+    for w, m in dominant.items():
+        if not m:
+            continue
+        key = (g.family, g.torus_rank, w)
+        orbit = _SUPPORT_CACHE.get(key)
+        if orbit is None:
+            orbit = _SUPPORT_CACHE[key] = tuple(orbit_vectors(g, w))
+        out.update(dict.fromkeys(orbit, m))
+    return out
 
 
 def full_weight_support(g: GroupSpec, weight) -> LaurentPoly:
-    """The complete weight system {vector -> multiplicity} of an irrep."""
-    lam = ensure_dominant(g, weight)
-    key = (g.family, g.torus_rank, lam)
-    cached = _SUPPORT_CACHE.get(key)
-    if cached is not None:
-        return cached
-    out: LaurentPoly = {}
-    for dom, m in weight_multiplicities(g, lam).items():
-        for v in orbit_vectors(g, dom):
-            out[v] = m
-    _SUPPORT_CACHE[key] = out
-    return out
+    """The complete weight system {vector -> multiplicity} of an irrep,
+    a new dict assembled from the memoized Weyl orbits."""
+    return _expand(g, weight_multiplicities(g, ensure_dominant(g, weight)))
 
 
 def _root_product(family: str, x) -> int:
@@ -518,40 +591,32 @@ def restrict_character(chi: LaurentPoly, pair: str, ranks) -> LaurentPoly:
     lives on the big group's torus; the output on the subgroup's.
     """
     rule = rule_of(pair)
+    if rule.kind == "polarization":
+        return dict(chi)  # identical torus, re-read as GL_n
+    if rule.kind == "diag":
+        k = torus_rank(rule.small, ranks[0])
+        size, torus = 2 * k, "product"
+        keys = [tuple(map(add, e[:k], e[k:])) for e in chi]
+    elif rule.kind == "sum":
+        n, m = ranks
+        a, b = torus_rank(rule.small, n), torus_rank(rule.small, m)
+        size, torus = torus_rank(rule.big, n + m), "big"
+        # first factor's coordinates, then the second's; a leftover
+        # coordinate (odd-odd orthogonal split) is evaluated at 1
+        keys = [e[:a + b] for e in chi]
+    else:  # bilinear: GL_big ⊃ O_n or Sp_2n, each x_i paired with 1/x_i
+        size, torus = rule.big_scale * ranks[0], "big"
+        k = size // 2
+        keys = [tuple(map(sub, e[:k], e[:size - k - 1:-1])) for e in chi]
+    if not {size}.issuperset(map(len, chi)):
+        raise ValueError(f"character does not live on the {torus} torus")
     out: LaurentPoly = {}
-
-    def emit(key: Weight, c: int):
+    for key, c in zip(keys, chi.values()):
         v = out.get(key, 0) + c
         if v:
             out[key] = v
         else:
             del out[key]
-
-    if rule.kind == "diag":
-        k = torus_rank(rule.small, ranks[0])
-        for e, c in chi.items():
-            if len(e) != 2 * k:
-                raise ValueError("character does not live on the product torus")
-            emit(tuple(x + y for x, y in zip(e[:k], e[k:])), c)
-    elif rule.kind == "sum":
-        n, m = ranks
-        a, b = torus_rank(rule.small, n), torus_rank(rule.small, m)
-        big = torus_rank(rule.big, n + m)
-        for e, c in chi.items():
-            if len(e) != big:
-                raise ValueError("character does not live on the big torus")
-            # first factor's coordinates, then the second's; a leftover
-            # coordinate (odd-odd orthogonal split) is evaluated at 1
-            emit(e[:a] + e[a:a + b], c)
-    elif rule.kind == "polarization":
-        out = dict(chi)  # identical torus, re-read as GL_n
-    else:  # bilinear: GL_big ⊃ O_n or Sp_2n, each x_i paired with 1/x_i
-        big = rule.big_scale * ranks[0]
-        k = big // 2
-        for e, c in chi.items():
-            if len(e) != big:
-                raise ValueError("character does not live on the big torus")
-            emit(tuple(e[i] - e[big - 1 - i] for i in range(k)), c)
     return out
 
 
@@ -608,9 +673,12 @@ def decompose_character(
         raise NotACharacter("no dominant weight in support")
     out = greedy_decompose(rem, lambda w: weight_multiplicities(g, w))
     if verify:
-        rebuilt: LaurentPoly = {}
+        # the rebuilt polynomial is W-invariant: sum its dominant
+        # coefficients, then expand them over their orbits
+        dominant: dict[Weight, int] = {}
         for w, m in out.items():
-            poly_add_scaled(rebuilt, full_weight_support(g, w), m)
-        if rebuilt != chi:
+            for u, mu in weight_multiplicities(g, w).items():
+                dominant[u] = dominant.get(u, 0) + m * mu
+        if _expand(g, dominant) != chi:
             raise NotACharacter("input is not a non-negative sum of characters")
     return out

@@ -142,7 +142,11 @@ def cmd_decompose(args) -> int:
     pair = args.pair
     rule = rule_of(pair)
     ranks = _ranks(args, pair)
+    if args.bound is not None and args.bound < 0:  # it would empty the map
+        raise ParseError(f"--bound must be >= 0, got {args.bound}")
     if rule.kind == "diag":
+        if args.big is not None:
+            raise ParseError(f"{pair} takes --mu/--nu, not --big")
         if args.mu is None or args.nu is None:
             raise ParseError(f"{pair} decomposition needs --mu and --nu")
         mu = _parse_label(args.mu, rule.small)
@@ -150,6 +154,8 @@ def cmd_decompose(args) -> int:
         big = (mu, nu)
         echo = {"mu": _format_label(mu), "nu": _format_label(nu)}
     else:
+        if args.mu is not None or args.nu is not None:
+            raise ParseError(f"{pair} takes --big, not --mu/--nu")
         if args.big is None:
             raise ParseError(f"{pair} decomposition needs --big")
         big = _parse_label(args.big, rule.big)

@@ -411,7 +411,7 @@ def _oracle_decomposition(pair: str, ranks: tuple, big) -> dict:
     if rule.big == "O" and 2 * len(big) >= big_n:
         raise OutOfSafeRegime(
             f"O label {big} needs ℓ(λ) < n for the O_2n oracle")
-    chi = dict(full_weight_support(g_big, family.weight(big, big_n)))
+    chi = full_weight_support(g_big, family.weight(big, big_n))
     restricted = restrict_character(chi, pair, (n,))
     return _labels(rule.small, decompose_character(restricted, small.group(n)), n)
 

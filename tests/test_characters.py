@@ -3,6 +3,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from branchkit.characters import (
     FAMILIES,
+    dominant_weights as weights_of_sizes,
     GL,
     SO,
     Sp,
@@ -21,6 +22,7 @@ from branchkit.characters import (
     two_rho,
     weight_multiplicities,
     weyl_order,
+    _root_orbits,
     _signed_orbit_terms,
 )
 from branchkit.errors import NotACharacter, NotDominant, UnknownPair
@@ -229,6 +231,111 @@ def test_orbit_vectors_match_the_weyl_group(case):
     assert all(dominant_rep(g, v) == w for v in vectors)
 
 
+def stabiliser_orbits_by_brute_force(g, mu):
+    """{orbit: number of positive roots in it} over the orbits on the roots
+    of the group generated by the simple reflections that fix mu, keeping
+    the orbits with a positive member."""
+    pos = positive_roots(g)
+    roots = pos + [tuple(-x for x in a) for a in pos]
+    sums = {tuple(x + y for x, y in zip(a, b)) for a in pos for b in pos}
+    simple = [a for a in pos if a not in sums]
+
+    def dot(a, b):
+        return sum(x * y for x, y in zip(a, b))
+
+    fixing = [a for a in simple if dot(mu, a) == 0]
+    out = {}
+    seen = set()
+    for start in roots:
+        if start in seen:
+            continue
+        orbit, todo = {start}, [start]
+        while todo:
+            v = todo.pop()
+            for a in fixing:
+                c = 2 * dot(v, a) // dot(a, a)
+                u = tuple(x - c * y for x, y in zip(v, a))
+                if u not in orbit:
+                    orbit.add(u)
+                    todo.append(u)
+        seen |= orbit
+        count = sum(1 for v in orbit if v in pos)
+        if count:
+            out[frozenset(orbit)] = count
+    return out
+
+
+def assert_root_orbits(g, mu):
+    expected = stabiliser_orbits_by_brute_force(g, mu)
+    table = _root_orbits(g.family, mu)
+    got = {}
+    for alpha, count in table:
+        assert alpha in positive_roots(g), (g, mu, alpha)
+        orbit = next(o for o in expected if alpha in o)
+        assert orbit not in got, (g, mu, alpha, "orbit taken twice")
+        got[orbit] = count
+    assert got == expected, (g, mu, table)
+
+
+def test_root_orbits_match_the_stabiliser_by_brute_force():
+    checked = 0
+    for fam in FAMILIES:
+        for rank in range(1, 8):
+            g = GroupSpec(fam, rank)
+            sizes = ([(p, q) for p in range(7) for q in range(7 - p)]
+                     if fam == "GL" else range(7))
+            for mu in weights_of_sizes(g, sizes):
+                assert_root_orbits(g, mu)
+                checked += 1
+    assert checked > 1000
+
+
+@settings(max_examples=60, deadline=None)
+@given(group_and_dominant_weight())
+@example((GroupSpec("SOEven", 4), (2, 1, 1, -1)))  # read through the flip
+@example((GroupSpec("SOEven", 3), (2, 2, -2)))
+@example((GroupSpec("SOEven", 4), (3, 1, 1, 0)))  # zero block of size 1
+@example((GroupSpec("SOEven", 5), (2, 2, 1, 0, 0)))  # ... of size 2
+@example((GroupSpec("SOEven", 5), (1, 1, 0, 0, 0)))  # ... of size 3
+@example((GroupSpec("Sp", 4), (2, 1, 0, 0)))
+@example((GroupSpec("SOOdd", 5), (1, 1, 0, 0, 0)))
+@example((GroupSpec("GL", 5), (1, 1, 0, -2, -2)))  # GL, negative entries
+@example((GroupSpec("GL", 4), (-1, -1, -1, -3)))
+def test_root_orbits_cover_every_positive_root(case):
+    g, mu = case
+    assert_root_orbits(g, mu)
+    assert sum(c for _, c in _root_orbits(g.family, mu)) == len(
+        positive_roots(g))
+
+
+@st.composite
+def group_and_small_weight(draw):
+    """Rank 4 or 5, with weights small enough that the alternating-sum
+    quotient stays quick off GL."""
+    fam = draw(st.sampled_from(FAMILIES))
+    rank = draw(st.integers(4, 5))
+    low = -2 if fam == "GL" else 0
+    raw = draw(st.lists(st.integers(low, 2), min_size=rank, max_size=rank))
+    if fam != "GL" and sum(raw) > (2 if rank == 5 else 4):
+        raw = [min(x, 1) for x in raw[:2]] + [0] * (rank - 2)
+    g = GroupSpec(fam, rank)
+    if fam == "SOEven" and draw(st.booleans()):
+        raw[-1] = -raw[-1]
+    return g, dominant_rep(g, tuple(raw))
+
+
+@settings(max_examples=25, deadline=None)
+@given(group_and_small_weight())
+@example((GroupSpec("SOEven", 4), (1, 1, 1, -1)))
+@example((GroupSpec("Sp", 5), (1, 1, 0, 0, 0)))
+@example((GroupSpec("GL", 5), (2, 1, 0, -1, -2)))
+def test_freudenthal_matches_the_quotient_above_the_small_ranks(case):
+    g, w = case
+    chi = irreducible_character(g, w)
+    assert weight_multiplicities(g, w) == {
+        e: c for e, c in chi.items() if is_dominant(g, e)}
+
+
 def test_decompose_character_roundtrip():
     import random
 
@@ -246,6 +353,30 @@ def test_decompose_character_roundtrip():
                     chi[e] = chi.get(e, 0) + m * c
             dec = decompose_character(chi, g)
             assert dec == combo, (g, combo)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_decompose_rejects_a_change_off_the_dominant_chamber(family):
+    # the rebuild compares whole polynomials: each change below leaves the
+    # dominant sector as it was, so only that comparison can catch it
+    g = GroupSpec(family, 3)
+    chi = {}
+    for w, m in (((2, 1, 0), 1), ((1, 0, 0), 2)):
+        for e, c in full_weight_support(g, w).items():
+            chi[e] = chi.get(e, 0) + m * c
+    assert decompose_character(chi, g) == {(2, 1, 0): 1, (1, 0, 0): 2}
+    off = next(e for e in sorted(chi) if not is_dominant(g, e))
+    stray = (-9, 0, 0)
+    assert stray not in chi and not is_dominant(g, stray)
+    changed = dict(chi)
+    changed[off] += 1
+    deleted = dict(chi)
+    del deleted[off]
+    added = dict(chi)
+    added[stray] = 1
+    for bad in (changed, deleted, added):
+        with pytest.raises(NotACharacter):
+            decompose_character(bad, g)
 
 
 def test_decompose_point_mass():

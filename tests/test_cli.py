@@ -261,3 +261,32 @@ def test_decompose_rejects_m_on_one_rank_pair(capsys):
         "--big", "[2]")
     assert code == 1 and out == ""
     assert err == "error: o-in-gl takes only -n\n"
+
+
+def test_decompose_rejects_negative_bound(capsys):
+    code, out, err = run_cli(
+        capsys, "decompose", "--pair", "o-in-gl", "-n", "6", "--big", "[2]",
+        "--bound", "-1")
+    assert code == 1 and out == ""
+    assert err == "error: --bound must be >= 0, got -1\n"
+    code, out, _ = run_cli(
+        capsys, "decompose", "--pair", "o-in-gl", "-n", "6", "--big", "[2]",
+        "--bound", "0")
+    assert code == 0 and json.loads(out)["result"] == {"[]": 1}
+
+
+def test_decompose_rejects_big_on_a_diagonal_pair(capsys):
+    code, out, err = run_cli(
+        capsys, "decompose", "--pair", "o-diag", "-n", "8",
+        "--mu", "[1]", "--nu", "[1]", "--big", "[2]")
+    assert code == 1 and out == ""
+    assert err == "error: o-diag takes --mu/--nu, not --big\n"
+
+
+@pytest.mark.parametrize("extra", [["--mu", "[1]"], ["--nu", "[1]"]])
+def test_decompose_rejects_mu_nu_on_a_big_label_pair(capsys, extra):
+    code, out, err = run_cli(
+        capsys, "decompose", "--pair", "o-in-gl", "-n", "6", "--big", "[2]",
+        *extra)
+    assert code == 1 and out == ""
+    assert err == "error: o-in-gl takes --big, not --mu/--nu\n"

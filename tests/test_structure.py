@@ -5,7 +5,9 @@ per-pair choice in the package reads the pair's rule in branching.PAIRS; a
 comparison against a pair-id literal, or a prefix or suffix test on a pair
 id, would put a per-pair fact back outside it.  The oracle and the
 character layer share no code with the LR machinery they are held
-against, and decompositions enumerate no candidate labels.
+against, and decompositions enumerate no candidate labels.  The
+package's memos are a fixed, named set, so that a new one is added on
+purpose (a benchmark that empties the memos between rounds must know it).
 """
 
 import ast
@@ -148,3 +150,72 @@ def test_decompositions_enumerate_no_candidate_labels():
     source = (SRC / "branching.py").read_text(encoding="utf-8")
     reached = names_reached(source, "branch_decompose")
     assert not reached & (PER_CELL_SUMS | {"partitions_of"}), reached
+
+
+# the package's memos; perfbench's workloads empty exactly these
+MEMOS = {"lr._SKEW_CACHE", "characters._CHAR_CACHE", "characters._FREUD_CACHE",
+         "characters._SUPPORT_CACHE", "oracle._ORACLE_CACHE"}
+DICT_MUTATORS = {"setdefault", "update", "pop", "popitem", "clear",
+                 "__setitem__", "__delitem__"}
+
+
+def _builds_a_dict(node) -> bool:
+    if isinstance(node, (ast.Dict, ast.DictComp)):
+        return True
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+        return node.func.id in ("dict", "defaultdict", "OrderedDict",
+                                "Counter")
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr):
+        return _builds_a_dict(node.left) or _builds_a_dict(node.right)
+    return False
+
+
+def module_memos(source: str) -> set[str]:
+    """Module-level names bound to a dict that a function of the module
+    mutates, by item assignment or deletion or a mutating dict method."""
+    tree = ast.parse(source)
+    dicts = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets = [node.target]
+        else:
+            continue
+        if _builds_a_dict(node.value):
+            dicts |= {t.id for t in targets if isinstance(t, ast.Name)}
+    mutated = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef,
+                               ast.Lambda)):
+            continue
+        for node in ast.walk(fn):
+            if (isinstance(node, ast.Subscript)
+                    and isinstance(node.ctx, (ast.Store, ast.Del))):
+                target = node.value
+            elif (isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in DICT_MUTATORS):
+                target = node.func.value
+            else:
+                continue
+            if isinstance(target, ast.Name):
+                mutated.add(target.id)
+    return dicts & mutated
+
+
+def test_the_check_sees_module_memos():
+    source = ("A: dict = {}\nB = dict()\nC = {k: 1 for k in 'ab'}\n"
+              "D = {} | {1: 2}\nE = {}\nF = {}\nG = {}\nH = []\n"
+              "def f(k):\n    A[k] = 1\n    B.setdefault(k, 2)\n"
+              "    C.clear()\n    del D[k]\n    H.append(k)\n"
+              "    return E.get(k)\n"
+              "g = lambda k: G.update(k=k)\nF[1] = 2\n")
+    assert module_memos(source) == {"A", "B", "C", "D", "G"}
+
+
+def test_the_memos_are_the_named_five():
+    found = {f"{path.stem}.{name}"
+             for path in sorted(SRC.glob("*.py"))
+             for name in module_memos(path.read_text(encoding="utf-8"))}
+    assert found == MEMOS
