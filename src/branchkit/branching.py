@@ -22,8 +22,9 @@ Pair identifiers (the external interface):
 
 Per-pair facts live only in the pair table ``PAIRS`` (module pairs); every
 choice here (formula, stable range, decomposition caps) reads the pair's
-rule, never its id.  Each pair's stable-range inequalities are written
-once, in range_violations.
+rule, never its id.  Each pair's stable-range inequalities are recorded
+once, in _hypotheses, as the least rank at which each holds and its
+failure text; range_violations and stable_rank both read those records.
 
 For the diagonal pairs a query carries the two tensor factors as ``small``
 and the target constituent as ``big``; for all other pairs ``big`` is the
@@ -149,83 +150,102 @@ def query(pair: str, ranks, big, small) -> BranchingQuery:
 # stable-range validation
 
 
-def range_violations(pair: str, ranks, big=None, small=None) -> list[str]:
-    """The rule's hypotheses that fail at ranks (n,) or (n, m), quoted with
-    their numbers filled in; empty when they all hold.
+def _hypotheses(rule: PairRule, big, small) -> list:
+    """The rule's hypotheses on the given labels, each recorded once as
+    (least rank N at which it holds, its failure text at rank N).  N is n,
+    or min(n, m) for a sum rule; a hypothesis that reads no rank, such as
+    gl-diag's ℓ(λ+) <= p+r, holds at every rank (-inf) or at none (inf).
 
     ``big`` and ``small`` are label data in query layout: for the diagonal
-    pairs ``small`` holds the two tensor factors.  An inequality that reads
-    a label left as None is skipped, so either side can be checked alone;
-    gl-diag and gl-sum then word their one inequality for that side alone.
+    pairs ``small`` holds the two tensor factors.  A hypothesis that reads
+    a label left as None is not recorded, so either side can be checked
+    alone; gl-diag and gl-sum then word their one inequality for that side
+    alone.  Only label lengths are read.
     """
-    rule = rule_of(pair)
     kind = rule.kind
-    n = ranks[0]
-    # the length cap at rank n on a label of the small family, if O or Sp
-    cap, cap_text = (n // 2, "⌊n/2⌋") if rule.small == "O" else (n, "n")
-    out: list[str] = []
+    out: list = []
 
-    def need(cond: bool, text: str):
-        if not cond:
-            out.append(text)
-
-    def at_most(name: str, value: int, bound_name: str, bound: int,
+    def at_most(name: str, value: int, bound_name: str, per: int = 1,
                 halved: bool = False):
-        """value <= bound, or value <= bound/2 when ``halved``."""
-        shown = f"{bound}/2" if halved else bound
-        need(2 * value <= bound if halved else value <= bound,
-             f"{name} <= {bound_name} fails: {value} > {shown}")
+        """value <= ⌊N/per⌋, shown as N/2 when ``halved``."""
+        out.append((per * value, lambda N: f"{name} <= {bound_name} fails: "
+                    f"{value} > {f'{N}/2' if halved else N // per}"))
 
+    def rank_free(name: str, value: int, bound_name: str, bound: int):
+        """value <= bound, whatever the rank."""
+        out.append((-inf if value <= bound else inf, lambda N:
+                    f"{name} <= {bound_name} fails: {value} > {bound}"))
+
+    # the length cap at rank N on a label of the small family, if O or Sp
+    per, cap_text = (2, "⌊n/2⌋") if rule.small == "O" else (1, "n")
     if kind == "diag" and rule.small == "GL":
         if small is not None:
             mu, nu = small
             p, q, r, s = len(mu.plus), len(mu.minus), len(nu.plus), len(nu.minus)
             terms = f"{p}+{q}+{r}+{s}" if big is not None else p + q + r + s
-            need(n >= p + q + r + s, f"n >= p+q+r+s fails: {n} < {terms}")
+            out.append((p + q + r + s,
+                        lambda N: f"n >= p+q+r+s fails: {N} < {terms}"))
             if big is not None:
-                at_most("ℓ(λ+)", len(big.plus), "p+r", p + r)
-                at_most("ℓ(λ-)", len(big.minus), "q+s", q + s)
+                rank_free("ℓ(λ+)", len(big.plus), "p+r", p + r)
+                rank_free("ℓ(λ-)", len(big.minus), "q+s", q + s)
     elif kind == "diag":
         if big is not None:
-            at_most("ℓ(λ)", len(big), cap_text, cap)
+            at_most("ℓ(λ)", len(big), cap_text, per)
         if small is not None:
-            at_most("ℓ(μ)+ℓ(ν)", len(small[0]) + len(small[1]), cap_text, cap)
+            at_most("ℓ(μ)+ℓ(ν)", len(small[0]) + len(small[1]), cap_text, per)
     elif kind == "sum" and rule.small == "GL":
-        low = min(ranks[0], ranks[1])
         if big is not None:
             labels = (big,) + tuple(small or ())
             p = max(len(lab.plus) for lab in labels)
             q = max(len(lab.minus) for lab in labels)
-            need(p + q <= low,
-                 f"p+q <= min(n,m) fails: {p}+{q} > {low}" if small is not None
-                 else f"ℓ(λ+)+ℓ(λ-) <= min(n,m) fails: {p + q} > {low}")
+            text = (f"p+q <= min(n,m) fails: {p}+{q}" if small is not None
+                    else f"ℓ(λ+)+ℓ(λ-) <= min(n,m) fails: {p + q}")
+            out.append((p + q, lambda N: f"{text} > {N}"))
     elif kind == "sum":
-        low = min(ranks[0], ranks[1])
         for name, part in zip("λμν", (big,) + tuple(small or (None, None))):
             if part is None:
                 continue
             if rule.small == "O":
-                at_most(f"ℓ({name})", len(part), "½min(n,m)", low, halved=True)
+                at_most(f"ℓ({name})", len(part), "½min(n,m)", 2, halved=True)
             else:
-                at_most(f"ℓ({name})", len(part), "min(n,m)", low)
+                at_most(f"ℓ({name})", len(part), "min(n,m)")
     elif kind == "polarization":
         if big is not None:
-            at_most("ℓ(λ)", len(big), "⌊n/2⌋", n // 2)
+            at_most("ℓ(λ)", len(big), "⌊n/2⌋", 2)
         if small is not None:
-            at_most("ℓ(μ+)", len(small[0].plus), "⌊n/2⌋", n // 2)
-            at_most("ℓ(μ-)", len(small[0].minus), "⌊n/2⌋", n // 2)
+            at_most("ℓ(μ+)", len(small[0].plus), "⌊n/2⌋", 2)
+            at_most("ℓ(μ-)", len(small[0].minus), "⌊n/2⌋", 2)
     else:  # bilinear
         # the dual-pair derivation needs n >= 2(ℓ(λ+)+ℓ(λ-)) for O and
         # n >= ℓ(λ+)+ℓ(λ-) for Sp, stronger than bounding each length alone
         if big is not None:
             k = len(big.plus) + len(big.minus)
             if rule.small == "O":
-                at_most("ℓ(λ+)+ℓ(λ-)", k, "n/2", n, halved=True)
+                at_most("ℓ(λ+)+ℓ(λ-)", k, "n/2", 2, halved=True)
             else:
-                at_most("ℓ(λ+)+ℓ(λ-)", k, "n", n)
+                at_most("ℓ(λ+)+ℓ(λ-)", k, "n")
         if small is not None:
-            at_most("ℓ(μ)", len(small[0]), cap_text, cap)
+            at_most("ℓ(μ)", len(small[0]), cap_text, per)
     return out
+
+
+def range_violations(pair: str, ranks, big=None, small=None) -> list[str]:
+    """The rule's hypotheses (_hypotheses) that fail at ranks (n,) or
+    (n, m), quoted with their numbers filled in; empty when they all
+    hold.  ``big`` and ``small`` are label data in query layout, and
+    either side may be left as None."""
+    rule = rule_of(pair)
+    rank = min(ranks[0], ranks[1]) if rule.kind == "sum" else ranks[0]
+    return [text(rank) for least, text in _hypotheses(rule, big, small)
+            if rank < least]
+
+
+def stable_rank(pair: str, big=None, small=None):
+    """The least rank N >= 0 (n, or min(n, m) for a sum rule) at which the
+    rule's hypotheses (_hypotheses) hold on the given labels, inf if there
+    is none."""
+    return max([0] + [least for least, _ in
+                      _hypotheses(rule_of(pair), big, small)])
 
 
 def stable_range_violations(q: BranchingQuery) -> list[str]:

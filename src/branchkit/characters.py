@@ -51,6 +51,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
 from operator import add, ge, mul, sub
+from types import MappingProxyType
 
 from .errors import ExactnessError, NotACharacter, NotDominant
 from .pairs import rule_of, torus_rank
@@ -424,13 +425,13 @@ def _root_orbits(family: str, mu: Weight) -> list[tuple[Weight, int]]:
     return out
 
 
-_FREUD_CACHE: dict[tuple[str, int, Weight], dict[Weight, int]] = {}
+_FREUD_CACHE: dict[tuple[str, int, Weight], MappingProxyType] = {}
 
 
-def weight_multiplicities(g: GroupSpec, weight) -> dict[Weight, int]:
+def weight_multiplicities(g: GroupSpec, weight) -> MappingProxyType:
     """Dominant weight multiplicities of an irreducible, by Freudenthal's
-    recursion.  The full weight system is the union of Weyl orbits of these
-    (see full_weight_support).
+    recursion, as a read-only view of the memo's entry.  The full weight
+    system is the union of Weyl orbits of these (see full_weight_support).
 
     The root sum runs over the orbits of mu's stabiliser on the roots
     (_root_orbits), not over every positive root: w in W_mu maps the
@@ -472,8 +473,8 @@ def weight_multiplicities(g: GroupSpec, weight) -> dict[Weight, int]:
             raise ExactnessError(
                 f"Freudenthal failed at {mu} for {g.family} {lam}")
         mults[mu] = (2 * acc) // denom
-    _FREUD_CACHE[key] = mults
-    return mults
+    out = _FREUD_CACHE[key] = MappingProxyType(mults)
+    return out
 
 
 def _arrangements(values):

@@ -2,8 +2,10 @@
 
 Each grid enumerates every label combination up to a size cap and compares
 the Littlewood-Richardson formula with the character-theoretic
-decomposition, cell by cell, at the smallest ranks satisfying the rule's
-hypotheses.  Orthogonal ranks additionally respect the oracle-safe floor
+decomposition, cell by cell, at the least rank where the rule's
+hypotheses hold on the cell: branching.stable_rank, read from the same
+records as the stable-range checks, so the grids restate no inequality.
+Orthogonal ranks additionally respect the oracle-safe floor
 n >= 2*size+2 (size being the grid's size cap), which keeps every label
 readable through SO characters.  Beyond the compared cells the full
 nonzero supports of both sides are held equal at the largest rank used,
@@ -18,19 +20,20 @@ import random
 import time
 from dataclasses import dataclass, field
 from itertools import product
+from math import inf
 
 from .branching import (
     PAIR_IDS,
     PAIRS,
-    PairRule,
     bilinear_sum,
     branch_decompose,
     diagonal_gl_sum,
     littlewood_restriction,
+    stable_rank,
 )
 from .lr import lr_coeff
 from .oracle import duality_dim_check, oracle_decomposition
-from .partitions import GLLabel, Partition, partitions_up_to
+from .partitions import GLLabel, Partition, partitions_of, partitions_up_to
 
 DEFAULT_MAX_SIZE = {pair: 5 for pair in PAIR_IDS} | {
     "o-diag": 6, "sp-diag": 6, "o-sum": 6, "sp-sum": 6, "gl-diag": 5}
@@ -57,156 +60,92 @@ def partition_labels(max_size: int) -> list[Partition]:
 
 
 def gl_labels(max_total: int) -> list[GLLabel]:
-    out = []
-    for total in range(max_total + 1):
-        for a in range(total + 1):
-            for pp in partitions_up_to(a):
-                if sum(pp) != a:
-                    continue
-                for mm in partitions_up_to(total - a):
-                    if sum(mm) != total - a:
-                        continue
-                    out.append(GLLabel(pp, mm))
-    return out
+    return [GLLabel(pp, mm)
+            for total in range(max_total + 1) for a in range(total + 1)
+            for pp in partitions_of(a) for mm in partitions_of(total - a)]
 
 
-def _compare(report: GridReport, context, fmap: dict, omap: dict, compared):
-    """Cell comparisons plus full support equality."""
-    compared = set(compared)
-    for key in set(fmap) | set(omap) | compared:
-        f = fmap.get(key, 0)
-        o = omap.get(key, 0)
-        if key in compared:
-            report.cases += 1
-        if f != o:
-            report.mismatches.append(
-                {"context": context, "small": key, "formula": f, "oracle": o})
-
-
-def _compare_cells(report: GridReport, context, fmap, omap, compared):
-    """Cell comparisons only (support checked elsewhere)."""
-    for key in compared:
-        report.cases += 1
+def _compare(report: GridReport, context, fmap, omap, compared,
+             support: bool):
+    """Cell comparisons, plus full support equality when ``support``."""
+    report.cases += len(compared)
+    keys = set(fmap) | set(omap) | set(compared) if support else compared
+    for key in keys:
         f = fmap.get(key, 0)
         o = omap.get(key, 0)
         if f != o:
             report.mismatches.append(
                 {"context": context, "small": key, "formula": f, "oracle": o})
-
-
-def _run_groups(report, pair, big, by_rank, ranks_of, fmap_of):
-    """Compare cell groups at their own minimal ranks; check supports at
-    the largest rank in play (where both maps carry the full support)."""
-    support_n = max(by_rank)
-    for n, compared in sorted(by_rank.items()):
-        ranks = ranks_of(n)
-        fmap = fmap_of(n)
-        omap = oracle_decomposition(pair, ranks, big)
-        if n == support_n:
-            _compare(report, (pair, ranks, big), fmap, omap, compared)
-        else:
-            _compare_cells(report, (pair, ranks, big), fmap, omap, compared)
 
 
 def run_grid(pair: str, max_size: int | None = None) -> GridReport:
     """Formula-vs-oracle grid for one pair at the given size cap."""
     if max_size is None:
         max_size = DEFAULT_MAX_SIZE[pair]
-    rule = PAIRS[pair]
     report = GridReport(pair)
     t0 = time.perf_counter()
-    if rule.kind == "diag" and rule.big == "GL":
-        _grid_gl_diag(report, max_size, pair)
-    else:
-        _grid(report, max_size, pair)
+    _grid(report, max_size, pair)
     report.elapsed_ms = int((time.perf_counter() - t0) * 1000)
     return report
-
-
-def _grid_gl_diag(report: GridReport, max_size: int, pair: str):
-    labels = gl_labels(max_size)
-    for mu in labels:
-        for nu in labels:
-            p, q = len(mu.plus), len(mu.minus)
-            r, s = len(nu.plus), len(nu.minus)
-            n = max(p + q + r + s, 1)
-            compared = [
-                lam for lam in labels
-                if len(lam.plus) <= p + r and len(lam.minus) <= q + s
-            ]
-            fmap = branch_decompose(pair, (mu, nu), (n,))
-            omap = oracle_decomposition(pair, (n,), (mu, nu))
-            _compare(report, (pair, (n,), mu, nu), fmap, omap, compared)
 
 
 def _grid_labels(family: str, max_size: int) -> list:
     return gl_labels(max_size) if family == "GL" else partition_labels(max_size)
 
 
-def _big_lengths(rule: PairRule, big) -> tuple[int, int]:
-    """The big side's share of its cells' depth (see _key_lengths)."""
-    if rule.kind == "diag":
-        mu, nu = big
-        return len(mu) + len(nu), 0
-    if rule.kind == "sum" and rule.small == "GL":
-        return len(big.plus), len(big.minus)
-    if rule.kind == "bilinear":
-        return len(big.plus) + len(big.minus), 0
-    return len(big), 0
-
-
-def _key_lengths(rule: PairRule, key) -> tuple[int, int]:
-    """A key's share of its cell's depth: the largest label length (or,
-    for GL, ℓ(+)+ℓ(-)) among the cell's labels that the rule's hypotheses
-    bound by the rank.  With (bp, bm) the big side's share and (kp, km)
-    the key's, the depth is max(bp, kp) + max(bm, km); the second entries
-    are ℓ(-) for a GL sum and 0 for every other rule."""
-    if rule.kind == "sum":
-        a, b = key
-        if rule.small == "GL":
-            return (max(len(a.plus), len(b.plus)),
-                    max(len(a.minus), len(b.minus)))
-        return max(len(a), len(b)), 0
-    if rule.kind == "polarization":
-        return max(len(key.plus), len(key.minus)), 0
-    return len(key), 0
+def _lengths(label):
+    """What the rule's hypotheses read of a label, or of a pair of labels:
+    the lengths of its partitions."""
+    if not label or isinstance(label[0], int):
+        return len(label)
+    return tuple(map(_lengths, label))  # a GLLabel or a pair of labels
 
 
 def _grid(report: GridReport, max_size: int, pair: str):
-    """The grid of every pair but gl-diag: each big-side input's cells are
-    compared at the smallest rank where the rule's hypotheses hold (for an
-    orthogonal subgroup, no lower than the oracle-safe floor).  That rank
-    is the cells' depth, or twice it where the hypotheses bound lengths by
-    ⌊n/2⌋."""
+    """Each big-side input's cells are compared at the least rank where
+    the rule's hypotheses hold on the cell (stable_rank; for an orthogonal
+    subgroup, no lower than the oracle-safe floor), and cells where they
+    hold at no rank are skipped.  A cell's rank depends only on its
+    labels' lengths, so it is found once per distinct pair of length
+    profiles, and the cells are grouped by rank once per distinct
+    profile of the big side."""
     rule = PAIRS[pair]
-    orthogonal = rule.small == "O"
-    scale = 2 if orthogonal or rule.kind == "polarization" else 1
-    floor = 2 * max_size + 2 if orthogonal else 1
+    sums = rule.kind == "sum"
+    floor = 2 * max_size + 2 if rule.small == "O" else 1
     smalls = _grid_labels(rule.small, max_size)
     if rule.kind == "diag":  # the tensor factors are the big side
         bigs, keys = list(product(smalls, smalls)), smalls
     else:
         bigs = _grid_labels(rule.big, max_size)
-        keys = list(product(smalls, smalls)) if rule.kind == "sum" else smalls
-    # many keys share their lengths: rank each distinct one once per big
-    lengths = [_key_lengths(rule, key) for key in keys]
-    distinct = set(lengths)
+        keys = list(product(smalls, smalls)) if sums else smalls
+
+    def rank(big, key):  # stable_rank reads the cell in query layout
+        sides = ((key, big) if rule.kind == "diag"
+                 else (big, key if sums else (key,)))
+        return max(stable_rank(pair, *sides), floor)
+
+    profiles = [_lengths(key) for key in keys]
+    groups: dict = {}  # big's profile -> {rank: the keys compared there}
     for big in bigs:
-        bp, bm = _big_lengths(rule, big)
-        rank_of = {
-            (kp, km): max(scale * (max(bp, kp) + max(bm, km)), floor)
-            for kp, km in distinct
-        }
-        by_rank: dict[int, list] = {}
-        for key, kl in zip(keys, lengths):
-            by_rank.setdefault(rank_of[kl], []).append(key)
-        if rule.kind == "sum":  # no rank-dependent caps: one formula map
-            fmap = branch_decompose(pair, big, None)
-            _run_groups(report, pair, big, by_rank,
-                        lambda n: (n, n), lambda n: fmap)
-        else:
-            _run_groups(report, pair, big, by_rank, lambda n: (n,),
-                        lambda n: branch_decompose(pair, big, (n,)))
+        profile = _lengths(big)
+        if profile not in groups:
+            rank_of: dict = {}  # key's profile -> the cell's rank
+            by_rank = groups[profile] = {}
+            for key, kp in zip(keys, profiles):
+                if kp not in rank_of:
+                    rank_of[kp] = rank(big, key)
+                if rank_of[kp] != inf:
+                    by_rank.setdefault(rank_of[kp], []).append(key)
+        by_rank = groups[profile]
+        # one formula map for a sum rule: it has no rank-dependent caps
+        fmap = branch_decompose(pair, big, None) if sums else None
+        support_n = max(by_rank)  # both maps carry the full support there
+        for n, compared in sorted(by_rank.items()):
+            ranks = (n, n) if sums else (n,)
+            omap = oracle_decomposition(pair, ranks, big)
+            _compare(report, (pair, ranks, big),
+                     fmap if sums else branch_decompose(pair, big, ranks),
+                     omap, compared, n == support_n)
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +224,8 @@ def run_padding_probe(max_size: int = 3) -> GridReport:
             p, q = len(mu.plus), len(mu.minus)
             r, s = len(nu.plus), len(nu.minus)
             for lam in labels:
-                if len(lam.plus) > p + r or len(lam.minus) > q + s:
-                    continue
+                if stable_rank("gl-diag", lam, (mu, nu)) == inf:
+                    continue  # ℓ(λ+) > p+r or ℓ(λ-) > q+s
                 report.cases += 1
                 minimal = diagonal_gl_sum(lam, mu, nu, caps=(p, q, r, s))
                 padded = diagonal_gl_sum(
@@ -327,18 +266,3 @@ def run_lr_spot_checks(count: int = 60, seed: int = 1) -> GridReport:
                  "formula": c, "oracle": (a, b)})
     report.elapsed_ms = int((time.perf_counter() - t0) * 1000)
     return report
-
-
-def run_all(max_size: int | None = None, seed: int = 1) -> list[GridReport]:
-    """The grids for all ten pairs plus the auxiliary sweeps.  With no
-    explicit cap each grid runs at its default size."""
-    reports = []
-    for pair in PAIR_IDS:
-        cap = DEFAULT_MAX_SIZE[pair] if max_size is None else max_size
-        reports.append(run_grid(pair, cap))
-    reports.append(
-        run_littlewood_consistency(6 if max_size is None else max_size))
-    reports.append(run_duality_sweeps())
-    reports.append(run_lr_spot_checks(seed=seed))
-    reports.append(run_padding_probe())
-    return reports

@@ -1,4 +1,7 @@
+from math import inf
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from branchkit import (
     BranchingQuery,
@@ -15,11 +18,14 @@ from branchkit import (
 )
 from branchkit.lr import lr_coeff
 from branchkit.branching import (
+    PAIR_IDS,
     PAIRS,
     decompose_range_violations,
     diagonal_gl_sum,
     diagonal_onsp_sum,
+    range_violations,
     stable_range_violations,
+    stable_rank,
 )
 from branchkit.errors import InvalidLabel, StableRangeViolation, UnknownPair
 from branchkit.partitions import GLLabel, partitions_up_to
@@ -119,6 +125,72 @@ def test_violation_texts(pair, ranks, big, small, stable, decompose):
     assert stable_range_violations(query(pair, ranks, big, small)) == stable
     side = tuple(small) if pair.endswith("diag") else big
     assert decompose_range_violations(pair, side, ranks) == decompose
+
+
+@st.composite
+def _same_lengths(draw):
+    """A pair and two label layouts for it (big, small) in query form,
+    every label of the second as long as its twin in the first."""
+    pair = draw(st.sampled_from(PAIR_IDS))
+    rule = PAIRS[pair]
+
+    def lengths(family):
+        if family == "GL":
+            return draw(st.integers(0, 4)), draw(st.integers(0, 4))
+        return draw(st.integers(0, 6))
+
+    def part(k):
+        rows = draw(st.lists(st.integers(1, 3), min_size=k, max_size=k))
+        return tuple(sorted(rows, reverse=True))
+
+    def label(family, k):
+        return GLLabel(part(k[0]), part(k[1])) if family == "GL" else part(k)
+
+    big = lengths(rule.big)
+    small = [lengths(rule.small) for _ in range(rule.small_count)]
+
+    def layout():
+        return (label(rule.big, big),
+                tuple(label(rule.small, k) for k in small))
+
+    return pair, layout(), layout()
+
+
+def _sides(big, small):
+    """Both sides, and each side alone."""
+    return ((big, small), (big, None), (None, small))
+
+
+def _ranks(pair, n, extra):
+    # a sum rule's hypotheses read min(n, m)
+    return (n, n + extra) if PAIRS[pair].kind == "sum" else (n,)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_same_lengths(), st.integers(0, 3))
+def test_stable_rank_is_least_rank_without_violations(case, extra):
+    pair, (big, small), _ = case
+    for b, s in _sides(big, small):
+        clean = [n for n in range(40)
+                 if not range_violations(pair, _ranks(pair, n, extra), b, s)]
+        assert stable_rank(pair, b, s) == (clean[0] if clean else inf)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_same_lengths(), st.integers(0, 20), st.integers(0, 3))
+def test_range_violations_read_only_lengths(case, n, extra):
+    # the verification grids rank each cell once per length profile
+    pair, (big, small), (big2, small2) = case
+    ranks = _ranks(pair, n, extra)
+    for (b, s), (b2, s2) in zip(_sides(big, small), _sides(big2, small2)):
+        assert range_violations(pair, ranks, b, s) == range_violations(
+            pair, ranks, b2, s2)
+
+
+def test_rank_free_hypotheses_hold_at_any_rank():
+    # gl-diag's ℓ(λ±) caps read no rank: below 0 only n >= p+q+r+s fails
+    assert range_violations("gl-diag", (-1,), L(E), (L(E), L(E))) == [
+        "n >= p+q+r+s fails: -1 < 0+0+0+0"]
 
 
 class TestDiagonal:

@@ -195,6 +195,15 @@ def test_weight_multiplicities_known_values():
     assert m[(0, 0)] == 2 and dim_of_weight(SO(5), (1, 1)) == 10
 
 
+def test_weight_multiplicities_is_read_only():
+    # the memo's entry is handed out as a view: writing to it would change
+    # every later answer that reads this irreducible
+    mults = weight_multiplicities(GL(3), (1, 0, -1))
+    with pytest.raises(TypeError):
+        mults[(0, 0, 0)] = 7
+    assert sum(full_weight_support(GL(3), (1, 0, -1)).values()) == 8
+
+
 def test_orbit_vectors_signed_counts():
     assert sorted(orbit_vectors(GL(3), (2, 1, 0))) == sorted(
         {(2, 1, 0), (2, 0, 1), (1, 2, 0), (0, 2, 1), (1, 0, 2), (0, 1, 2)})

@@ -1,0 +1,48 @@
+import pytest
+
+from branchkit import verify
+from branchkit.branching import PAIR_IDS
+from branchkit.partitions import GLLabel, partitions_up_to
+from branchkit.verify import gl_labels, run_grid
+
+# compared cells per grid: gl-diag, gl-sum, the other diagonal and sum
+# pairs, and the four restriction pairs
+CASES = {
+    2: {"gl-diag": 337, "gl-sum": 512, "o-diag": 64, "sp-diag": 64,
+        "o-sum": 64, "sp-sum": 64, "gl-in-o": 32, "gl-in-sp": 32,
+        "o-in-gl": 32, "sp-in-gl": 32},
+    3: {"gl-diag": 3805, "gl-sum": 5832, "o-diag": 343, "sp-diag": 343,
+        "o-sum": 343, "sp-sum": 343, "gl-in-o": 126, "gl-in-sp": 126,
+        "o-in-gl": 126, "sp-in-gl": 126},
+}
+
+
+@pytest.mark.parametrize("cap", sorted(CASES))
+@pytest.mark.parametrize("pair", PAIR_IDS)
+def test_grid_cases(pair, cap):
+    report = run_grid(pair, cap)
+    assert report.ok, report.mismatches[:5]
+    assert report.cases == CASES[cap][pair]
+
+
+def test_gl_labels_order():
+    # every (λ+, λ-) by total size, then |λ+|, in partitions_up_to order
+    for cap in range(7):
+        expected = [GLLabel(pp, mm)
+                    for total in range(cap + 1) for a in range(total + 1)
+                    for pp in partitions_up_to(a) if sum(pp) == a
+                    for mm in partitions_up_to(total - a)
+                    if sum(mm) == total - a]
+        assert gl_labels(cap) == expected
+
+
+def test_gl_diag_mismatch_context(monkeypatch):
+    # a failing gl-diag cell names its pair, ranks and tensor factors,
+    # as every other diagonal grid does
+    monkeypatch.setattr(verify, "branch_decompose", lambda *a, **k: {})
+    report = run_grid("gl-diag", 1)
+    assert report.mismatches
+    pair, ranks, (mu, nu) = report.mismatches[0]["context"]
+    assert pair == "gl-diag" and isinstance(mu, GLLabel)
+    assert ranks == (max(len(mu.plus) + len(mu.minus)
+                         + len(nu.plus) + len(nu.minus), 1),)
