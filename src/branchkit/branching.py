@@ -52,7 +52,8 @@ from .lr import (
     tensor_expand,
 )
 # PAIR_IDS and PairRule are imported for callers of this module
-from .pairs import PAIR_IDS, PAIRS, RULE_ID, PairRule, rule_of, torus_rank
+from .pairs import (PAIR_IDS, PAIRS, RULE_ID, PairRule, rule_for_ranks,
+                    rule_of, torus_rank)
 from .partitions import (
     GLLabel,
     Partition,
@@ -134,10 +135,10 @@ def query(pair: str, ranks, big, small) -> BranchingQuery:
     ranks: (n,) or (n, m) per pair.  big/small: partitions or GLLabels in
     the layout the pair expects.
     """
-    rule = rule_of(pair)
+    rule = rule_for_ranks(pair, ranks)
     n = ranks[0]
     if rule.kind == "sum":
-        m = ranks[1] if len(ranks) > 1 else None
+        m = ranks[1]
         big_rank, small_ranks = n + m, (n, m)
     else:
         big_rank, small_ranks = rule.big_scale * n, (n,) * rule.small_count
@@ -234,7 +235,7 @@ def range_violations(pair: str, ranks, big=None, small=None) -> list[str]:
     (n, m), quoted with their numbers filled in; empty when they all
     hold.  ``big`` and ``small`` are label data in query layout, and
     either side may be left as None."""
-    rule = rule_of(pair)
+    rule = rule_for_ranks(pair, ranks)
     rank = min(ranks[0], ranks[1]) if rule.kind == "sum" else ranks[0]
     return [text(rank) for least, text in _hypotheses(rule, big, small)
             if rank < least]
@@ -529,6 +530,8 @@ def branch_decompose(pair: str, big, ranks=None, bound: int | None = None) -> di
     (use validate_stable_range on a query first if unsure).
     """
     rule = rule_of(pair)
+    if rule.kind != "sum":  # the sum rules read no rank
+        rule_for_ranks(pair, ranks)
     limit = inf if bound is None else bound
     out: dict = defaultdict(int)
     if rule.kind == "diag" and rule.big == "GL":

@@ -653,15 +653,13 @@ def greedy_decompose(rem: dict, system) -> dict:
     return out
 
 
-def decompose_character(
-    chi: LaurentPoly, g: GroupSpec, verify: bool = True
-) -> dict[Weight, int]:
+def decompose_character(chi: LaurentPoly, g: GroupSpec) -> dict[Weight, int]:
     """Decompose a genuine character into irreducibles.
 
     Greedy highest-weight subtraction (greedy_decompose) on the dominant
-    sector of chi.  With ``verify`` the input is rebuilt from the result
-    and compared exactly; any mismatch, a negative multiplicity, or junk
-    exponents raise NotACharacter.
+    sector of chi.  The input is then rebuilt from the result and compared
+    exactly; any mismatch, a negative multiplicity, or junk exponents
+    raise NotACharacter.
     """
     if not chi:
         return {}
@@ -673,13 +671,12 @@ def decompose_character(
     if not rem and chi:
         raise NotACharacter("no dominant weight in support")
     out = greedy_decompose(rem, lambda w: weight_multiplicities(g, w))
-    if verify:
-        # the rebuilt polynomial is W-invariant: sum its dominant
-        # coefficients, then expand them over their orbits
-        dominant: dict[Weight, int] = {}
-        for w, m in out.items():
-            for u, mu in weight_multiplicities(g, w).items():
-                dominant[u] = dominant.get(u, 0) + m * mu
-        if _expand(g, dominant) != chi:
-            raise NotACharacter("input is not a non-negative sum of characters")
+    # the rebuilt polynomial is W-invariant: sum its dominant coefficients,
+    # then expand them over their orbits
+    dominant: dict[Weight, int] = {}
+    for w, m in out.items():
+        for u, mu in weight_multiplicities(g, w).items():
+            dominant[u] = dominant.get(u, 0) + m * mu
+    if _expand(g, dominant) != chi:
+        raise NotACharacter("input is not a non-negative sum of characters")
     return out

@@ -9,7 +9,9 @@ scale), and one map per label family names the group, the label's weight
 and the weight's label; no code here branches on a pair id.  Restrictions
 and the direct-sum pairs are decomposed by the one greedy loop
 characters.greedy_decompose, tensor products by the Brauer-Klimyk fold;
-each keeps its own check.
+each keeps its own check.  A direct sum's remainder is read from splits of
+the big group's dominant weights between the two factors (_sum_remainder),
+with no candidate factor weight and no expanded weight system.
 
 Tensor products (the diagonal pairs) are decomposed without materializing
 the product polynomial: Klimyk's formula folds the smaller factor's weight
@@ -44,10 +46,8 @@ from .characters import (
     decompose_character,
     dim_of_weight,
     dominant_rep,
-    dominant_weights,
     full_weight_support,
     greedy_decompose,
-    is_dominant,
     restrict_character,
     two_rho,
     weight_multiplicities,
@@ -58,7 +58,7 @@ from .errors import (
     OutOfSafeRegime,
     StableRangeViolation,
 )
-from .pairs import PairRule, rule_of, torus_rank
+from .pairs import PairRule, rule_for_ranks, rule_of, torus_rank
 from .partitions import GLLabel, Partition, double_columns, double_rows, partitions_of
 
 # ---------------------------------------------------------------------------
@@ -275,51 +275,49 @@ def decompose_tensor(g: GroupSpec, w1: Weight, w2: Weight) -> dict[Weight, int]:
 
 
 # ---------------------------------------------------------------------------
-# joint decomposition for the direct-sum pairs
+# the direct-sum remainder, from splits of the big dominant weights
 
 
-def _sum_pair_decompose(
-    g_big: GroupSpec, big_weight: Weight, ga: GroupSpec, gb: GroupSpec,
-    candidates,
-) -> dict[tuple[Weight, Weight], int]:
-    """Decompose V(big) under the product subgroup whose torus is the split
-    of the big torus (plus an evaluated-away leftover coordinate, if any)."""
+def _takes(values: Weight, k: int):
+    """Each distinct way to take k entries from the decreasing tuple
+    ``values``: (the entries taken, the entries left), both decreasing."""
+    if k == 0 or k == len(values):
+        yield values[:k], values[k:]
+        return
+    run = values.count(values[0])  # equal entries lead a decreasing tuple
+    rest = values[run:]
+    for j in range(max(0, k - len(rest)), min(run, k) + 1):
+        for taken, left in _takes(rest, k - j):
+            yield values[:j] + taken, values[j:run] + left
+
+
+def _signs(part: Weight, free: bool) -> tuple:
+    """part, and with ``free`` part with its nonzero last entry negated."""
+    if free and part and part[-1]:
+        return part, part[:-1] + (-part[-1],)
+    return (part,)
+
+
+def _sum_remainder(g_big: GroupSpec, big_weight: Weight, ga: GroupSpec,
+                   gb: GroupSpec) -> dict[tuple[Weight, Weight], int]:
+    """V(big) restricted to the torus of ga × gb (a leftover coordinate
+    evaluated at 1), on the factor-dominant pairs (u, v).  Each dominant
+    weight w adds its multiplicity at every split of its entries (off GL,
+    their absolute values) into decreasing parts u and v and a leftover x,
+    signed where the factors' dominance leaves a sign free (an SO(2n)
+    part's last entry, the leftover), whose vector u+v+x W takes to w."""
     a, b = ga.torus_rank, gb.torus_rank
-    left = g_big.torus_rank - a - b
+    free_u, free_v = ga.family == "SOEven", gb.family == "SOEven"
     rem: dict[tuple[Weight, Weight], int] = {}
-    if left == 0:
-        # the monomial coefficient at (u, v) is a plain weight multiplicity
-        fr = weight_multiplicities(g_big, big_weight)
-        for u, v in candidates:
-            m = fr.get(dominant_rep(g_big, u + v), 0)
-            if m:
-                rem[(u, v)] = m
-    else:
-        # odd-odd orthogonal split: a leftover torus coordinate is evaluated
-        # at 1, collapsing weights; accumulate the restricted coefficients
-        coeffs: dict[tuple[Weight, Weight], int] = {}
-        for w, m in full_weight_support(g_big, big_weight).items():
-            key = (w[:a], w[a:a + b])
-            coeffs[key] = coeffs.get(key, 0) + m
-        rem = {
-            (u, v): c for (u, v), c in coeffs.items()
-            if c and is_dominant(ga, u) and is_dominant(gb, v)
-        }
-
-    def system(key):
-        fr_u = weight_multiplicities(ga, key[0])
-        fr_v = weight_multiplicities(gb, key[1])
-        return {(uu, vv): cu * cv
-                for uu, cu in fr_u.items() for vv, cv in fr_v.items()}
-
-    out = greedy_decompose(rem, system)
-    mass = sum(
-        m * dim_of_weight(ga, u) * dim_of_weight(gb, v)
-        for (u, v), m in out.items()
-    )
-    if mass != dim_of_weight(g_big, big_weight):
-        raise ExactnessError("direct-sum mass check failed")
-    return out
+    for w, c in weight_multiplicities(g_big, big_weight).items():
+        values = w if g_big.family == "GL" else tuple(map(abs, w))
+        for u, rest in _takes(values, a):
+            for v, x in _takes(rest, b):
+                for su, sv, sx in product(_signs(u, free_u),
+                                          _signs(v, free_v), _signs(x, True)):
+                    if dominant_rep(g_big, su + sv + sx) == w:
+                        rem[su, sv] = rem.get((su, sv), 0) + c
+    return rem
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +330,7 @@ def oracle_decomposition(pair: str, ranks: tuple, big) -> MappingProxyType:
     """Full decomposition map for one big representation, keyed by small
     label data ((GLLabel | Partition) or pairs thereof).  The map is a
     read-only view of the memo's entry."""
-    if rule_of(pair).kind == "diag":
+    if rule_for_ranks(pair, ranks).kind == "diag":
         big = tuple(sorted(big))  # tensor factors commute
     key = (pair, tuple(ranks), big)
     cached = _ORACLE_CACHE.get(key)
@@ -350,37 +348,23 @@ def _sum_decomposition(rule: PairRule, ranks: tuple, lam) -> dict:
     if rule.big == "GL":  # λ is checked before, O and Sp after, the factors
         wbig = family.weight(lam, n + m)
         ga, gb = family.group(n), family.group(m)
-        # λ's positive and negative sizes bound those of every factor weight
-        pos, neg = sum(lam.plus), sum(lam.minus)
-        sizes = list(product(range(pos + 1), range(neg + 1)))
-        by_sum: dict[int, list] = {}
-        for v in dominant_weights(gb, sizes):
-            by_sum.setdefault(sum(v), []).append(v)
-        total = sum(wbig)
-        pairs = [
-            (u, v)
-            for u in dominant_weights(ga, sizes)
-            for v in by_sum.get(total - sum(u), ())
-        ]
     else:
         ga, gb = family.group(n), family.group(m)
         wbig = family.weight(lam, n + m)
-        # the joint root lattice forces an even total drop unless a factor
-        # is SO(odd), whose short roots lift that constraint
-        parity_filter = "SOOdd" not in (ga.family, gb.family)
-        total = sum(lam)
-        sizes = range(total, -1, -1)
-        usizes = {u: sum(abs(x) for x in u) for u in dominant_weights(ga, sizes)}
-        pairs = []
-        for v in dominant_weights(gb, sizes):
-            vs = sum(abs(x) for x in v)
-            for u, us in usizes.items():
-                if us + vs > total:
-                    continue
-                if parity_filter and (total - us - vs) % 2:
-                    continue
-                pairs.append((u, v))
-    raw = _sum_pair_decompose(g_big, wbig, ga, gb, pairs)
+
+    def system(key):
+        fr_u = weight_multiplicities(ga, key[0])
+        fr_v = weight_multiplicities(gb, key[1])
+        return {(uu, vv): cu * cv
+                for uu, cu in fr_u.items() for vv, cv in fr_v.items()}
+
+    raw = greedy_decompose(_sum_remainder(g_big, wbig, ga, gb), system)
+    mass = sum(
+        c * dim_of_weight(ga, u) * dim_of_weight(gb, v)
+        for (u, v), c in raw.items()
+    )
+    if mass != dim_of_weight(g_big, wbig):
+        raise ExactnessError("direct-sum mass check failed")
     if rule.big == "O":
         for u, v in raw:
             if (u and u[-1] < 0) or (v and v[-1] < 0):

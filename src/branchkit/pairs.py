@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import UnknownPair
+from .errors import InvalidLabel, UnknownPair
 
 
 class PairRule(NamedTuple):
@@ -59,6 +59,17 @@ def rule_of(pair: str) -> PairRule:
     rule = PAIRS.get(pair)
     if rule is None:
         raise UnknownPair(pair)
+    return rule
+
+
+def rule_for_ranks(pair: str, ranks) -> PairRule:
+    """The pair's PairRule; InvalidLabel unless ``ranks`` holds (n, m) for
+    a sum rule, (n,) otherwise (entries beyond those are not read)."""
+    rule = rule_of(pair)
+    sums = rule.kind == "sum"
+    if ranks is None or len(ranks) < 1 + sums:
+        raise InvalidLabel(f"{pair} takes ranks {'(n, m)' if sums else '(n,)'}"
+                           f", got {ranks!r}")
     return rule
 
 

@@ -24,11 +24,11 @@ from math import inf
 
 from .branching import (
     PAIR_IDS,
-    PAIRS,
     bilinear_sum,
     branch_decompose,
     diagonal_gl_sum,
     littlewood_restriction,
+    rule_of,
     stable_rank,
 )
 from .lr import lr_coeff
@@ -80,11 +80,12 @@ def _compare(report: GridReport, context, fmap, omap, compared,
 
 def run_grid(pair: str, max_size: int | None = None) -> GridReport:
     """Formula-vs-oracle grid for one pair at the given size cap."""
+    rule = rule_of(pair)
     if max_size is None:
         max_size = DEFAULT_MAX_SIZE[pair]
     report = GridReport(pair)
     t0 = time.perf_counter()
-    _grid(report, max_size, pair)
+    _grid(report, max_size, pair, rule)
     report.elapsed_ms = int((time.perf_counter() - t0) * 1000)
     return report
 
@@ -101,7 +102,7 @@ def _lengths(label):
     return tuple(map(_lengths, label))  # a GLLabel or a pair of labels
 
 
-def _grid(report: GridReport, max_size: int, pair: str):
+def _grid(report: GridReport, max_size: int, pair: str, rule):
     """Each big-side input's cells are compared at the least rank where
     the rule's hypotheses hold on the cell (stable_rank; for an orthogonal
     subgroup, no lower than the oracle-safe floor), and cells where they
@@ -109,7 +110,6 @@ def _grid(report: GridReport, max_size: int, pair: str):
     labels' lengths, so it is found once per distinct pair of length
     profiles, and the cells are grouped by rank once per distinct
     profile of the big side."""
-    rule = PAIRS[pair]
     sums = rule.kind == "sum"
     floor = 2 * max_size + 2 if rule.small == "O" else 1
     smalls = _grid_labels(rule.small, max_size)

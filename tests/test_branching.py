@@ -453,3 +453,21 @@ def test_results_deterministic_under_threads():
     with ThreadPoolExecutor(max_workers=8) as pool:
         parallel = list(pool.map(lambda t: lr_coeff(*t), triples))
     assert parallel == serial
+
+
+def test_query_with_too_few_ranks_is_an_invalid_label():
+    with pytest.raises(InvalidLabel, match=r"o-sum takes ranks \(n, m\), "
+                       r"got \(3,\)"):
+        query("o-sum", (3,), E, [E, E])
+
+
+def test_range_violations_with_too_few_ranks_is_an_invalid_label():
+    with pytest.raises(InvalidLabel, match=r"takes ranks \(n, m\)"):
+        range_violations("o-sum", (3,))
+
+
+def test_branch_decompose_without_ranks_for_a_ranked_rule():
+    # only the sum rules, which read no rank, accept ranks=None
+    with pytest.raises(InvalidLabel, match=r"o-diag takes ranks \(n,\), "
+                       r"got None"):
+        branch_decompose("o-diag", ((1,), (1,)), None)

@@ -1,9 +1,11 @@
 import json
+import re
 import subprocess
 import sys
 
 import pytest
 
+from branchkit.branching import PAIR_IDS
 from branchkit.cli import main
 
 
@@ -290,3 +292,28 @@ def test_decompose_rejects_mu_nu_on_a_big_label_pair(capsys, extra):
         *extra)
     assert code == 1 and out == ""
     assert err == "error: o-in-gl takes --big, not --mu/--nu\n"
+
+
+SWEEPS = ["littlewood", "duality", "lr-spot"]
+
+
+def test_selftest_passes(capsys):
+    code, out, _ = run_cli(capsys, "selftest")
+    assert code == 0
+    lines = out.splitlines()
+    # one line per grid and per sweep, then the verdict
+    assert [line.split(":")[0] for line in lines[:-1]] == [*PAIR_IDS, *SWEEPS]
+    assert all(line.endswith(" cases, ok") for line in lines[:-1])
+    assert lines[-1] == "selftest: PASS"
+
+
+def test_verify_all_at_a_small_cap(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--pair", "all",
+                           "--max-size", "2")
+    assert code == 0
+    lines = out.splitlines()
+    # one line per grid and per sweep, then the padding probe's finding
+    assert [line.split(":")[0] for line in lines[:-1]] == [*PAIR_IDS, *SWEEPS]
+    assert all(line.endswith(" cases, ok") for line in lines[:-1])
+    assert re.fullmatch(r"padding-probe: \d+ cases, (no deviations|\d+ "
+                        r"deviations \(finding, not failure\))", lines[-1])

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from branchkit import query
 from branchkit.branching import RepLabel
@@ -11,17 +11,20 @@ from branchkit.characters import (
     decompose_character,
     full_weight_support,
     irreducible_character,
+    is_dominant,
     poly_add_scaled,
     poly_mul,
     restrict_character,
 )
 from branchkit.errors import (
     ExactnessError,
+    InvalidLabel,
     NotACharacter,
     OutOfSafeRegime,
     StableRangeViolation,
 )
 from branchkit.oracle import (
+    _sum_remainder,
     decompose_tensor,
     dim_irrep,
     duality_dim_check,
@@ -315,3 +318,61 @@ def test_fold_checks_catch_a_dropped_weight(monkeypatch, g, w1, w2, caught):
         else:
             assert dropped != w1 and out == truth, dropped
     assert raised == caught
+
+
+def test_oracle_decomposition_with_too_few_ranks_is_an_invalid_label():
+    with pytest.raises(InvalidLabel, match=r"o-sum takes ranks \(n, m\)"):
+        oracle_decomposition("o-sum", (3,), (1,))
+
+
+SUM_GROUPS = {"gl-sum": GL, "o-sum": SO, "sp-sum": Sp}
+
+
+@st.composite
+def _sum_splits(draw):
+    """A direct-sum pair, its factor ranks n and m, and a dominant weight
+    of the big group with at most three nonzero entries, each of absolute
+    value at most 2, so that the weight system stays small."""
+    pair = draw(st.sampled_from(sorted(SUM_GROUPS)))
+    low, high = (2, 7) if pair == "o-sum" else (1, 4)
+    n, m = draw(st.integers(low, high)), draw(st.integers(low, high))
+    g = SUM_GROUPS[pair](n + m)
+    rank = g.torus_rank
+    count = draw(st.integers(0, min(3, rank)))
+    entries = draw(st.lists(st.integers(1, 2), min_size=count,
+                            max_size=count))
+    if pair == "gl-sum":
+        cut = draw(st.integers(0, count))
+        plus = sorted(entries[:cut], reverse=True)
+        minus = sorted((-x for x in entries[cut:]), reverse=True)
+        w = plus + [0] * (rank - count) + minus
+    else:
+        w = sorted(entries, reverse=True) + [0] * (rank - count)
+        if g.family == "SOEven" and w and w[-1] and draw(st.booleans()):
+            w[-1] = -w[-1]
+    return pair, n, m, tuple(w)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_sum_splits())
+# odd-odd orthogonal splits, with a zero entry to leave over, then with none
+@example(("o-sum", 5, 3, (2, 1, 0, 0)))
+@example(("o-sum", 3, 3, (2, 1, -1)))
+# full-length SO(2n) factor weights, with either last sign
+@example(("o-sum", 4, 4, (1, 1, 1, -1)))
+@example(("o-sum", 4, 3, (2, 1, 1)))
+# GL weights with negative entries
+@example(("gl-sum", 2, 3, (2, 1, 0, -1, -1)))
+@example(("gl-sum", 1, 1, (0, -2)))
+def test_split_remainder_is_the_dominant_part_of_the_restriction(case):
+    # the remainder read from splits of the big dominant weights equals the
+    # restricted weight system, expanded in full, on the factor-dominant
+    # pairs (u, v)
+    pair, n, m, w = case
+    group = SUM_GROUPS[pair]
+    g, ga, gb = group(n + m), group(n), group(m)
+    a = ga.torus_rank
+    restricted = restrict_character(full_weight_support(g, w), pair, (n, m))
+    expected = {(e[:a], e[a:]): c for e, c in restricted.items()
+                if is_dominant(ga, e[:a]) and is_dominant(gb, e[a:])}
+    assert _sum_remainder(g, w, ga, gb) == expected

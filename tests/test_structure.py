@@ -152,6 +152,16 @@ def test_decompositions_enumerate_no_candidate_labels():
     assert not reached & (PER_CELL_SUMS | {"partitions_of"}), reached
 
 
+def test_the_direct_sum_oracle_tries_no_candidate_weights():
+    """The direct-sum remainder is read from splits of the big group's
+    dominant weights: _sum_decomposition neither enumerates candidate
+    factor weights nor expands a weight system."""
+    source = (SRC / "oracle.py").read_text(encoding="utf-8")
+    reached = names_reached(source, "_sum_decomposition")
+    banned = {"dominant_weights", "partitions_of", "full_weight_support"}
+    assert not reached & banned, reached & banned
+
+
 # the package's memos; perfbench's workloads empty exactly these
 MEMOS = {"lr._SKEW_CACHE", "characters._CHAR_CACHE", "characters._FREUD_CACHE",
          "characters._SUPPORT_CACHE", "oracle._ORACLE_CACHE"}

@@ -2,6 +2,7 @@ import pytest
 
 from branchkit import verify
 from branchkit.branching import PAIR_IDS
+from branchkit.errors import UnknownPair
 from branchkit.partitions import GLLabel, partitions_up_to
 from branchkit.verify import gl_labels, run_grid
 
@@ -46,3 +47,8 @@ def test_gl_diag_mismatch_context(monkeypatch):
     assert pair == "gl-diag" and isinstance(mu, GLLabel)
     assert ranks == (max(len(mu.plus) + len(mu.minus)
                          + len(nu.plus) + len(nu.minus), 1),)
+
+
+def test_run_grid_of_an_unknown_pair_is_unknown_pair():
+    with pytest.raises(UnknownPair):
+        run_grid("nope")
