@@ -530,7 +530,8 @@ def branch_decompose(pair: str, big, ranks=None, bound: int | None = None) -> di
     (use validate_stable_range on a query first if unsure).
     """
     rule = rule_of(pair)
-    if rule.kind != "sum":  # the sum rules read no rank
+    # the sum rules read no rank, but ranks that are given must fit the rule
+    if rule.kind != "sum" or ranks is not None:
         rule_for_ranks(pair, ranks)
     limit = inf if bound is None else bound
     out: dict = defaultdict(int)

@@ -1,17 +1,21 @@
 """Brute-force branching oracle: characters in, multiplicities out.
 
 Nothing here touches a Littlewood-Richardson coefficient.  Every answer is
-obtained from exact torus characters: build the big group's character,
-substitute the subgroup's torus, decompose into the subgroup's irreducible
-characters, translate dominant weights back to labels.  The pipeline reads
-the pair's rule in the pair table pairs.PAIRS (its kind, families and rank
-scale), and one map per label family names the group, the label's weight
-and the weight's label; no code here branches on a pair id.  Restrictions
-and the direct-sum pairs are decomposed by the one greedy loop
-characters.greedy_decompose, tensor products by the Brauer-Klimyk fold;
-each keeps its own check.  A direct sum's remainder is read from splits of
-the big group's dominant weights between the two factors (_sum_remainder),
-with no candidate factor weight and no expanded weight system.
+obtained from exact torus characters: read the big group's character on
+the subgroup's dominant chamber, decompose it into the subgroup's
+irreducible characters, translate dominant weights back to labels.  The
+pipeline reads the pair's rule in the pair table pairs.PAIRS (its kind,
+families and rank scale), and one map per label family names the group,
+the label's weight and the weight's label; no code here branches on a pair
+id.  Restrictions and the direct-sum pairs are decomposed by the one greedy
+loop characters.greedy_decompose, tensor products by the Brauer-Klimyk
+fold; each is balanced against Weyl dimensions.  The greedy loop reads only
+the subgroup-dominant part of the restricted character (its remainder),
+and that part is built from the big group's dominant weights without
+expanding a weight system: a direct sum's from splits of each weight's
+entries between the two factors (_sum_remainder), an embedding's from the
+few vectors of each weight's Weyl orbit that land in the subgroup's
+dominant chamber (_restriction_remainder).
 
 Tensor products (the diagonal pairs) are decomposed without materializing
 the product polynomial: Klimyk's formula folds the smaller factor's weight
@@ -30,9 +34,10 @@ equality, but query entry points refuse such labels outright.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import product
-from math import comb
-from operator import add
+from math import comb, inf
+from operator import add, lt
 from types import MappingProxyType
 from typing import Callable, NamedTuple
 
@@ -43,17 +48,19 @@ from .characters import (
     SO,
     Sp,
     Weight,
-    decompose_character,
     dim_of_weight,
     dominant_rep,
     full_weight_support,
     greedy_decompose,
-    restrict_character,
     two_rho,
     weight_multiplicities,
 )
+# not called here: bound only because perfbench's tracer wraps them as
+# oracle attributes
+from .characters import decompose_character, restrict_character
 from .errors import (
     ExactnessError,
+    InvalidLabel,
     NotACharacter,
     OutOfSafeRegime,
     StableRangeViolation,
@@ -66,6 +73,9 @@ from .partitions import GLLabel, Partition, double_columns, double_rows, partiti
 
 
 def gl_weight(label: GLLabel, n: int) -> Weight:
+    for part in label:
+        if any(x < 0 for x in part) or any(map(lt, part, part[1:])):
+            raise InvalidLabel(f"GL label {label}: {part} is not a partition")
     if not label.valid_for_rank(n):
         raise OutOfSafeRegime(f"GL label {label} invalid at rank {n}")
     mid = n - len(label.plus) - len(label.minus)
@@ -321,6 +331,88 @@ def _sum_remainder(g_big: GroupSpec, big_weight: Weight, ga: GroupSpec,
 
 
 # ---------------------------------------------------------------------------
+# the embedding remainder, from the orbits' subgroup-dominant vectors
+
+
+def _sign_variants(g_big: GroupSpec, w: Weight):
+    """The decreasing vectors in the Weyl orbit of the Sp or SO dominant
+    weight w: for each distinct nonzero magnitude held k times, j of its k
+    copies negated (0 <= j <= k).  SO(2n) negates an even number of
+    entries, so with no zero entry the negated copies keep the parity of
+    w's own negative last entry."""
+    runs = [(a, k) for a, k in Counter(map(abs, w)).items() if a]
+    zeros = (0,) * (len(w) - sum(k for _, k in runs))
+    parity = int(w[-1] < 0) if g_big.family == "SOEven" and not zeros else None
+    for js in product(*[range(k + 1) for _, k in runs]):
+        if parity is not None and sum(js) % 2 != parity:
+            continue
+        head = [a for (a, k), j in zip(runs, js) for _ in range(k - j)]
+        tail = [-a for (a, _), j in zip(runs, js) for _ in range(j)]
+        yield tuple(head) + zeros + tuple(reversed(tail))
+
+
+def _drop(values: Weight, x: int) -> Weight:
+    """The decreasing tuple ``values`` with one copy of x taken out."""
+    i = values.index(x)
+    return values[:i] + values[i + 1:]
+
+
+def _pair_differences(values: Weight, k: int, cap, free: bool,
+                      memo: dict) -> dict[Weight, int]:
+    """{d: the number of distinct ways to draw k pairs (a_i, b_i) in turn
+    from the decreasing tuple ``values`` with differences d_i = a_i - b_i},
+    over the dominant d: each d_i at most the one before (``cap`` for the
+    first) and none negative, except that with ``free`` (SO(2n)) the last
+    one's absolute value is what is bounded.  Distinct values are taken at
+    each draw, so each distinct arrangement is counted once; an entry left
+    over (an odd N's middle entry) is dropped.  ``memo`` holds the answers
+    for the multisets left after the first draws."""
+    key = (values, k, cap)
+    out = memo.get(key)
+    if out is not None:
+        return out
+    out = memo[key] = {}
+    if not k:
+        out[()] = 1
+        return out
+    last_free = free and k == 1
+    for a in dict.fromkeys(values):
+        rest = _drop(values, a)
+        for b in dict.fromkeys(rest):
+            d = a - b
+            if d > cap or (d < 0 and not (last_free and -d <= cap)):
+                continue
+            for tail, m in _pair_differences(_drop(rest, b), k - 1, d, free,
+                                             memo).items():
+                image = (d,) + tail
+                out[image] = out.get(image, 0) + m
+    return out
+
+
+def _restriction_remainder(kind: str, g_big: GroupSpec, big_weight: Weight,
+                           g: GroupSpec) -> dict[Weight, int]:
+    """V(big) restricted to the torus of the subgroup g, on g's dominant
+    weights.  Each dominant weight w adds its multiplicity at the image of
+    every distinct vector of its Weyl orbit whose image is g-dominant, and
+    the orbit itself is never expanded.  A polarization shares the torus,
+    so the images are w's decreasing sign variants; the bilinear form
+    sends a vector e of GL_N's torus to (e_i - e_{N+1-i}) for i <= g's
+    rank (the middle entry of an odd N is dropped), filled pair by pair
+    from w's entries."""
+    rem: dict[Weight, int] = {}
+    memo: dict = {}
+    free = g.family == "SOEven"
+    for w, c in weight_multiplicities(g_big, big_weight).items():
+        if kind == "polarization":
+            images = dict.fromkeys(_sign_variants(g_big, w), 1)
+        else:
+            images = _pair_differences(w, g.torus_rank, inf, free, memo)
+        for d, m in images.items():
+            rem[d] = rem.get(d, 0) + c * m
+    return rem
+
+
+# ---------------------------------------------------------------------------
 # the oracle pipeline, read from the pair's rule
 
 _ORACLE_CACHE: dict = {}
@@ -342,7 +434,7 @@ def oracle_decomposition(pair: str, ranks: tuple, big) -> MappingProxyType:
 
 
 def _sum_decomposition(rule: PairRule, ranks: tuple, lam) -> dict:
-    n, m = ranks
+    n, m = ranks[:2]
     family = _FAMILIES[rule.big]
     g_big = family.group(n + m)
     if rule.big == "GL":  # λ is checked before, O and Sp after, the factors
@@ -388,16 +480,25 @@ def _oracle_decomposition(pair: str, ranks: tuple, big) -> dict:
         g = small.group(n)
         raw = decompose_tensor(g, small.weight(mu, n), small.weight(nu, n))
         return _labels(rule.small, raw, n)
-    # restriction along the embedding: polarization or bilinear form
+    return _restriction_decomposition(rule, n, big)
+
+
+def _restriction_decomposition(rule: PairRule, n: int, big) -> dict:
+    """Restriction along the embedding: polarization or bilinear form."""
     big_n = rule.big_scale * n
     family = _FAMILIES[rule.big]
     g_big = family.group(big_n)
     if rule.big == "O" and 2 * len(big) >= big_n:
         raise OutOfSafeRegime(
             f"O label {big} needs ℓ(λ) < n for the O_2n oracle")
-    chi = full_weight_support(g_big, family.weight(big, big_n))
-    restricted = restrict_character(chi, pair, (n,))
-    return _labels(rule.small, decompose_character(restricted, small.group(n)), n)
+    wbig = family.weight(big, big_n)
+    g = _FAMILIES[rule.small].group(n)
+    rem = _restriction_remainder(rule.kind, g_big, wbig, g)
+    raw = greedy_decompose(rem, lambda w: weight_multiplicities(g, w))
+    mass = sum(m * dim_of_weight(g, w) for w, m in raw.items())
+    if mass != dim_of_weight(g_big, wbig):
+        raise ExactnessError("restriction mass check failed")
+    return _labels(rule.small, raw, n)
 
 
 def oracle_multiplicity(q: BranchingQuery) -> int:

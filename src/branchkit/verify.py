@@ -35,8 +35,7 @@ from .lr import lr_coeff
 from .oracle import duality_dim_check, oracle_decomposition
 from .partitions import GLLabel, Partition, partitions_of, partitions_up_to
 
-DEFAULT_MAX_SIZE = {pair: 5 for pair in PAIR_IDS} | {
-    "o-diag": 6, "sp-diag": 6, "o-sum": 6, "sp-sum": 6, "gl-diag": 5}
+DEFAULT_MAX_SIZE = {pair: 6 for pair in PAIR_IDS} | {"gl-diag": 5, "gl-sum": 5}
 
 
 @dataclass

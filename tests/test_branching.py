@@ -471,3 +471,12 @@ def test_branch_decompose_without_ranks_for_a_ranked_rule():
     with pytest.raises(InvalidLabel, match=r"o-diag takes ranks \(n,\), "
                        r"got None"):
         branch_decompose("o-diag", ((1,), (1,)), None)
+
+
+def test_branch_decompose_with_too_few_ranks_for_a_sum_rule():
+    # a sum rule reads no rank, but ranks that are given must be (n, m)
+    with pytest.raises(InvalidLabel, match=r"o-sum takes ranks \(n, m\), "
+                       r"got \(3,\)"):
+        branch_decompose("o-sum", (1,), (3,))
+    assert branch_decompose("o-sum", (1,), (3, 3)) == \
+        branch_decompose("o-sum", (1,), None)

@@ -24,6 +24,7 @@ from branchkit.errors import (
     StableRangeViolation,
 )
 from branchkit.oracle import (
+    _restriction_remainder,
     _sum_remainder,
     decompose_tensor,
     dim_irrep,
@@ -35,6 +36,7 @@ from branchkit.oracle import (
     sp_weight,
     weight_to_gl_label,
 )
+from branchkit.pairs import rule_of
 from branchkit.partitions import GLLabel, partitions_up_to
 
 E = ()
@@ -376,3 +378,86 @@ def test_split_remainder_is_the_dominant_part_of_the_restriction(case):
     expected = {(e[:a], e[a:]): c for e, c in restricted.items()
                 if is_dominant(ga, e[:a]) and is_dominant(gb, e[a:])}
     assert _sum_remainder(g, w, ga, gb) == expected
+
+
+@pytest.mark.parametrize("pair,ranks,big", [
+    ("gl-sum", (1, 1), L(E, (-2, -2))),
+    ("gl-sum", (2, 1), L((1, 2))),
+    ("gl-diag", (2,), (L(E, (-2, -2)), L((1,)))),
+    ("gl-diag", (3,), (L((1,)), L((1,), (1, 2)))),
+    ("o-in-gl", (4,), L(E, (-2, -2))),
+    ("o-in-gl", (5,), L((1, 2))),
+])
+def test_gl_labels_with_parts_that_are_no_partition_are_invalid(pair, ranks,
+                                                                 big):
+    # a negative or increasing part would be read as some other weight
+    with pytest.raises(InvalidLabel, match="is not a partition"):
+        oracle_decomposition(pair, ranks, big)
+
+
+def test_oracle_decomposition_reads_the_first_two_sum_ranks():
+    assert oracle_decomposition("o-sum", (3, 3, 1), (1,)) == \
+        oracle_decomposition("o-sum", (3, 3), (1,))
+
+
+# (pair, the big group at rank n, the subgroup at rank n); the pair's ranks
+# are (n,)
+RESTRICTION_GROUPS = {
+    "gl-in-o": (lambda n: SO(2 * n), GL),
+    "gl-in-sp": (Sp, GL),
+    "o-in-gl": (GL, SO),
+    "sp-in-gl": (lambda n: GL(2 * n), Sp),
+}
+
+
+@st.composite
+def _embedded_weights(draw):
+    """An embedding pair, its rank n and a dominant weight of the big group
+    with entries of absolute value at most 2, at most three of them
+    nonzero, so that the weight system stays small."""
+    pair = draw(st.sampled_from(sorted(RESTRICTION_GROUPS)))
+    low, high = (2, 7) if pair == "o-in-gl" else (1, 3)
+    n = draw(st.integers(low, high))
+    g = RESTRICTION_GROUPS[pair][0](n)
+    rank = g.torus_rank
+    count = draw(st.integers(0, min(3, rank)))
+    entries = draw(st.lists(st.integers(1, 2), min_size=count,
+                            max_size=count))
+    if g.family == "GL":
+        cut = draw(st.integers(0, count))
+        plus = sorted(entries[:cut], reverse=True)
+        minus = sorted((-x for x in entries[cut:]), reverse=True)
+        w = plus + [0] * (rank - count) + minus
+    else:
+        w = sorted(entries, reverse=True) + [0] * (rank - count)
+        if g.family == "SOEven" and w[-1] and draw(st.booleans()):
+            w[-1] = -w[-1]
+    return pair, n, tuple(w)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_embedded_weights())
+# SO(2n) weights with a negative last entry and no zero entry
+@example(("gl-in-o", 3, (1, 1, -1)))
+@example(("gl-in-o", 2, (2, -1)))
+# odd N: the middle entry is dropped
+@example(("o-in-gl", 5, (2, 1, 0, 0, -1)))
+@example(("o-in-gl", 3, (1, 1, 0)))
+# even N: SO(N)'s last difference may be negative, down to minus the one
+# before, and SO(2) has no bound at all
+@example(("o-in-gl", 4, (1, 1, 0, -1)))
+@example(("o-in-gl", 6, (2, 1, 0, 0, -1, -2)))
+@example(("o-in-gl", 2, (2, -1)))
+# GL weights with negative entries and repeated values
+@example(("sp-in-gl", 2, (1, 0, -1, -2)))
+@example(("sp-in-gl", 3, (1, 1, 0, 0, -1, -1)))
+def test_embedding_remainder_is_the_dominant_part_of_the_restriction(case):
+    # the remainder read from the orbits' subgroup-dominant vectors equals
+    # the restricted weight system, expanded in full, on the subgroup's
+    # dominant weights
+    pair, n, w = case
+    big_group, small_group = RESTRICTION_GROUPS[pair]
+    g_big, g = big_group(n), small_group(n)
+    restricted = restrict_character(full_weight_support(g_big, w), pair, (n,))
+    expected = {d: c for d, c in restricted.items() if is_dominant(g, d)}
+    assert _restriction_remainder(rule_of(pair).kind, g_big, w, g) == expected

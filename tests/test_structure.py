@@ -162,6 +162,18 @@ def test_the_direct_sum_oracle_tries_no_candidate_weights():
     assert not reached & banned, reached & banned
 
 
+def test_the_embedding_oracle_expands_no_weight_system():
+    """An embedding's remainder is read from the few vectors of each big
+    dominant weight's orbit that land in the subgroup's dominant chamber:
+    the restriction path neither expands the big weight system nor
+    restricts or decomposes a whole character."""
+    source = (SRC / "oracle.py").read_text(encoding="utf-8")
+    reached = names_reached(source, "_restriction_decomposition")
+    banned = {"full_weight_support", "restrict_character",
+              "decompose_character"}
+    assert not reached & banned, reached & banned
+
+
 # the package's memos; perfbench's workloads empty exactly these
 MEMOS = {"lr._SKEW_CACHE", "characters._CHAR_CACHE", "characters._FREUD_CACHE",
          "characters._SUPPORT_CACHE", "oracle._ORACLE_CACHE"}
