@@ -57,6 +57,7 @@ from .pairs import (PAIR_IDS, PAIRS, RULE_ID, PairRule, rule_for_ranks,
 from .partitions import (
     GLLabel,
     Partition,
+    check_partitions,
     first_two_columns,
     meet,
     subpartitions,
@@ -97,6 +98,7 @@ class RepLabel:
                 )
         else:
             raise InvalidLabel(f"unknown family {self.family!r}")
+        check_partitions(self.family, self.data)
 
 
 @dataclass(frozen=True)
@@ -533,6 +535,8 @@ def branch_decompose(pair: str, big, ranks=None, bound: int | None = None) -> di
     # the sum rules read no rank, but ranks that are given must fit the rule
     if rule.kind != "sum" or ranks is not None:
         rule_for_ranks(pair, ranks)
+    for label in big if rule.kind == "diag" else (big,):
+        check_partitions(rule.big, label)
     limit = inf if bound is None else bound
     out: dict = defaultdict(int)
     if rule.kind == "diag" and rule.big == "GL":

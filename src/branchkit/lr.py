@@ -8,6 +8,12 @@ the moment a value is placed.  One traversal of a shape collects every
 admissible content at once, which is what the branching sums actually
 consume.
 
+That search is the only one.  Products use it through the box identity
+c^λ_{μν} = c^{ν∨}_{μ,λ∨}, where p∨ is the complement of p in a box of
+ℓ(μ)+ℓ(ν) rows and μ₁+ν₁ columns, rotated by 180° (Grassmannian duality;
+Fulton, Young Tableaux, §9.4): the contents of ν∨/μ are the complements
+of every λ in s_μ · s_ν.
+
 All results are cached.  The caches are plain dicts holding immutable
 values: under concurrent use the worst case is recomputing an entry, never
 an inconsistent one.
@@ -15,13 +21,7 @@ an inconsistent one.
 
 from __future__ import annotations
 
-from .partitions import (
-    Partition,
-    contains,
-    is_even_columns,
-    is_even_rows,
-    partitions_over,
-)
+from .partitions import Partition, contains, is_even_columns, is_even_rows
 
 _INF = 10 ** 9
 
@@ -113,29 +113,27 @@ def lr_count_direct(lam: Partition, mu: Partition, nu: Partition) -> int:
 def tensor_expand(
     mu: Partition, nu: Partition, max_length: int | None = None
 ) -> dict[Partition, int]:
-    """Decomposition of the product s_μ · s_ν: {λ -> c^λ_{μν} > 0}.
+    """Decomposition of the product s_μ · s_ν: {λ -> c^λ_{μν} > 0}, keeping
+    the λ with at most ``max_length`` parts.
 
-    Support facts prune the candidates: λ contains both factors, its first
-    row is at most μ₁+ν₁ and its length at most ℓ(μ)+ℓ(ν).
+    Every such λ fits in the box of ℓ(μ)+ℓ(ν) rows (at most max_length)
+    and μ₁+ν₁ columns, where c^λ_{μν} = c^{ν∨}_{μ,λ∨} with p∨ the box
+    complement of p rotated by 180°.  So one skew expansion of ν∨/μ gives
+    every λ at once, as the complement of its content.
     """
-    total = sum(mu) + sum(nu)
-    lower = tuple(
-        max(a, b)
-        for a, b in zip(
-            tuple(mu) + (0,) * max(0, len(nu) - len(mu)),
-            tuple(nu) + (0,) * max(0, len(mu) - len(nu)),
-        )
-    )
     rows = len(mu) + len(nu)
     if max_length is not None:
         rows = min(rows, max_length)
-    first = (mu[0] if mu else 0) + (nu[0] if nu else 0)
-    out: dict[Partition, int] = {}
-    for lam in partitions_over(lower, total, max_first=first, max_length=rows):
-        c = lr_coeff(lam, mu, nu)
-        if c:
-            out[lam] = c
-    return out
+    if len(mu) > rows or len(nu) > rows:
+        return {}
+    width = (mu[0] if mu else 0) + (nu[0] if nu else 0)
+
+    def complement(p: Partition) -> Partition:
+        padded = tuple(p) + (0,) * (rows - len(p))
+        return tuple(width - x for x in reversed(padded) if x < width)
+
+    return {complement(kappa): c
+            for kappa, c in skew_expand(complement(nu), mu).items()}
 
 
 def even_row_sum(expansion: dict[Partition, int]) -> int:

@@ -37,7 +37,7 @@ from __future__ import annotations
 from collections import Counter
 from itertools import product
 from math import comb, inf
-from operator import add, lt
+from operator import add
 from types import MappingProxyType
 from typing import Callable, NamedTuple
 
@@ -60,22 +60,20 @@ from .characters import (
 from .characters import decompose_character, restrict_character
 from .errors import (
     ExactnessError,
-    InvalidLabel,
     NotACharacter,
     OutOfSafeRegime,
     StableRangeViolation,
 )
 from .pairs import PairRule, rule_for_ranks, rule_of, torus_rank
-from .partitions import GLLabel, Partition, double_columns, double_rows, partitions_of
+from .partitions import (GLLabel, Partition, check_partitions, double_columns,
+                         double_rows, partitions_of)
 
 # ---------------------------------------------------------------------------
 # label <-> weight translation
 
 
 def gl_weight(label: GLLabel, n: int) -> Weight:
-    for part in label:
-        if any(x < 0 for x in part) or any(map(lt, part, part[1:])):
-            raise InvalidLabel(f"GL label {label}: {part} is not a partition")
+    check_partitions("GL", label)
     if not label.valid_for_rank(n):
         raise OutOfSafeRegime(f"GL label {label} invalid at rank {n}")
     mid = n - len(label.plus) - len(label.minus)
@@ -89,6 +87,7 @@ def weight_to_gl_label(w: Weight) -> GLLabel:
 
 
 def sp_weight(lam: Partition, rank: int) -> Weight:
+    check_partitions("Sp", lam)
     if len(lam) > rank:
         raise OutOfSafeRegime(f"Sp label {lam} has more than {rank} parts")
     return tuple(lam) + (0,) * (rank - len(lam))
@@ -97,6 +96,7 @@ def sp_weight(lam: Partition, rank: int) -> Weight:
 def so_weight(lam: Partition, n: int) -> Weight:
     """The SO_n highest weight of the O_n label λ; only faithful in the
     safe regime ℓ(λ) < n/2."""
+    check_partitions("O", lam)
     if 2 * len(lam) >= n:
         raise OutOfSafeRegime(
             f"O label {lam} at n={n}: need ℓ(λ) < n/2 to read through SO")
@@ -525,9 +525,6 @@ def oracle_multiplicity(q: BranchingQuery) -> int:
 
 # ---------------------------------------------------------------------------
 # graded-dimension duality identities
-
-DUALITY_KINDS = ("cauchy_gl", "sym_square", "wedge_square", "o_duality",
-                 "sp_duality")
 
 
 def _sym_dim(space_dim: int, degree: int) -> int:

@@ -7,9 +7,10 @@ pure, so they are safe to share between threads.
 
 from __future__ import annotations
 
+from operator import lt
 from typing import Iterator, NamedTuple, Sequence
 
-from .errors import NotAPartition, ParseError
+from .errors import InvalidLabel, NotAPartition, ParseError
 
 Partition = tuple[int, ...]
 
@@ -195,39 +196,6 @@ def _subpartitions_sized(p: Partition, total: int) -> Iterator[Partition]:
     yield from rec(0, p[0] if p else 0, total, [])
 
 
-def partitions_over(
-    lower: Partition, total: int, max_first: int | None = None,
-    max_length: int | None = None,
-) -> Iterator[Partition]:
-    """Partitions of ``total`` containing ``lower``, with bounded first part
-    and length.  Used to enumerate tensor-product support."""
-    if total < sum(lower):
-        return
-    rows = max(len(lower), 1) if max_length is None else max_length
-    if len(lower) > rows:
-        return
-    first_cap = total if max_first is None else max_first
-
-    def rec(i: int, bound: int, remaining: int, acc: list[int]):
-        if remaining == 0:
-            if i >= len(lower):
-                yield tuple(acc)
-            return
-        if i >= rows:
-            return
-        lo = lower[i] if i < len(lower) else 1
-        hi = min(bound, remaining)
-        for part in range(hi, lo - 1, -1):
-            # remaining rows must be able to absorb what is left
-            if (rows - i - 1) * part < remaining - part:
-                continue
-            acc.append(part)
-            yield from rec(i + 1, part, remaining - part, acc)
-            acc.pop()
-
-    yield from rec(0, first_cap, total, [])
-
-
 class GLLabel(NamedTuple):
     """Rational general-linear highest-weight label: a pair of partitions.
 
@@ -247,6 +215,16 @@ class GLLabel(NamedTuple):
 
     def total_size(self) -> int:
         return sum(self.plus) + sum(self.minus)
+
+
+def check_partitions(family: str, data) -> None:
+    """Raise InvalidLabel unless the family's label data holds partitions
+    only: the GLLabel's plus and minus for GL, the one partition otherwise.
+    A negative part or an increasing pair of parts has no highest weight."""
+    for part in data if isinstance(data, GLLabel) else (data,):
+        if any(x < 0 for x in part) or any(map(lt, part, part[1:])):
+            where = f": {part}" if isinstance(data, GLLabel) else ""
+            raise InvalidLabel(f"{family} label {data}{where} is not a partition")
 
 
 def parse_gl_label(text: str) -> GLLabel:

@@ -158,22 +158,16 @@ def run_littlewood_consistency(max_size: int = 6) -> GridReport:
     t0 = time.perf_counter()
     for lam in partitions_up_to(max_size):
         for mu in partitions_up_to(sum(lam)):
-            n = max(2 * sum(lam), 2 * len(mu), 2)
-            lhs = littlewood_restriction(lam, mu, "O", n)
-            rhs = bilinear_sum(GLLabel(lam, ()), mu, "rows")
-            report.cases += 1
-            if lhs != rhs:
-                report.mismatches.append(
-                    {"context": ("O", n, lam), "small": mu,
-                     "formula": rhs, "oracle": lhs})
-            n = max(sum(lam), len(mu), 1)
-            lhs = littlewood_restriction(lam, mu, "Sp", n)
-            rhs = bilinear_sum(GLLabel(lam, ()), mu, "columns")
-            report.cases += 1
-            if lhs != rhs:
-                report.mismatches.append(
-                    {"context": ("Sp", n, lam), "small": mu,
-                     "formula": rhs, "oracle": lhs})
+            for family, even, n in (
+                    ("O", "rows", max(2 * sum(lam), 2 * len(mu), 2)),
+                    ("Sp", "columns", max(sum(lam), len(mu), 1))):
+                lhs = littlewood_restriction(lam, mu, family, n)
+                rhs = bilinear_sum(GLLabel(lam, ()), mu, even)
+                report.cases += 1
+                if lhs != rhs:
+                    report.mismatches.append(
+                        {"context": (family, n, lam), "small": mu,
+                         "formula": rhs, "oracle": lhs})
     report.elapsed_ms = int((time.perf_counter() - t0) * 1000)
     return report
 

@@ -480,3 +480,21 @@ def test_branch_decompose_with_too_few_ranks_for_a_sum_rule():
         branch_decompose("o-sum", (1,), (3,))
     assert branch_decompose("o-sum", (1,), (3, 3)) == \
         branch_decompose("o-sum", (1,), None)
+
+
+@pytest.mark.parametrize("pair,big,ranks", [
+    ("gl-sum", L(E, (-2, -2)), None),
+    ("o-in-gl", L((1, 2)), (6,)),
+    ("gl-in-sp", (1, 2), (3,)),
+    ("o-sum", (1, 2), None),
+])
+def test_branch_decompose_refuses_big_labels_that_are_no_partition(pair, big,
+                                                                   ranks):
+    with pytest.raises(InvalidLabel, match="is not a partition"):
+        branch_decompose(pair, big, ranks)
+
+
+def test_validate_labels_refuses_a_label_that_is_no_partition():
+    q = query("gl-sum", (1, 1), L(E, (-2, -2)), [L(E), L(E)])
+    with pytest.raises(InvalidLabel, match="is not a partition"):
+        q.validate_labels()

@@ -1,10 +1,12 @@
 import random
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from branchkit import littlewood_restriction, lr_coeff, skew_expand, tensor_expand
 from branchkit.lr import (
+    _SKEW_CACHE,
     clear_cache,
     dump_cache_lines,
     even_column_sum,
@@ -62,6 +64,53 @@ def test_tensor_expand_examples():
     assert tensor_expand((1,), (1,)) == {(2,): 1, (1, 1): 1}
     assert tensor_expand((), (3, 1)) == {(3, 1): 1}
     assert tensor_expand((1,), (1,), max_length=1) == {(2,): 1}
+
+
+def test_tensor_expand_matches_single_coefficients_exhaustive():
+    # lr_coeff searches λ/μ (or λ/ν), never the complement shape ν∨/μ
+    shapes = list(partitions_up_to(5))
+    for mu in shapes:
+        for nu in shapes:
+            total = sum(mu) + sum(nu)
+            for cap in (None, -1, 0, 1, 2, 3, 4):
+                rows = total if cap is None else cap
+                expected = {lam: c for lam in partitions_of(total)
+                            if len(lam) <= rows
+                            and (c := lr_coeff(lam, mu, nu))}
+                assert tensor_expand(mu, nu, cap) == expected, (mu, nu, cap)
+
+
+def test_tensor_expand_searches_the_least_box():
+    # ℓ(μ)+ℓ(ν) rows (at most the cap) and μ₁+ν₁ columns hold every
+    # constituent; a larger box gives the same product from a larger search
+    clear_cache()
+    tensor_expand((2, 1), (1,))
+    assert set(_SKEW_CACHE) == {((3, 3, 2), (2, 1))}
+    clear_cache()
+    tensor_expand((2, 1), (1,), max_length=2)
+    assert set(_SKEW_CACHE) == {((3, 2), (2, 1))}
+
+
+def _standard_tableaux(p):
+    """f^p, the number of standard Young tableaux of shape p (hook lengths)."""
+    cols = conjugate(p)
+    hooks = 1
+    for i, row in enumerate(p):
+        for j in range(row):
+            hooks *= row - j + cols[j] - i - 1
+    return factorial(sum(p)) // hooks
+
+
+@pytest.mark.parametrize("mu,nu", [((6, 5, 4, 3, 2, 1), (5, 4, 3, 2, 1)),
+                                   ((5, 4, 3, 2, 1), (6, 5, 4, 3, 2, 1))])
+def test_large_product_hook_identity(mu, nu):
+    # Σ_λ c^λ_{μν} f^λ = C(|μ|+|ν|, |μ|) f^μ f^ν: both sides count the
+    # standard fillings of μ and ν by complementary sets of labels
+    product = tensor_expand(mu, nu)
+    assert len(product) == 3743
+    assert sum(c * _standard_tableaux(lam) for lam, c in product.items()) == (
+        comb(sum(mu) + sum(nu), sum(mu))
+        * _standard_tableaux(mu) * _standard_tableaux(nu))
 
 
 def test_pieri_row_rule():

@@ -395,6 +395,17 @@ def test_gl_labels_with_parts_that_are_no_partition_are_invalid(pair, ranks,
         oracle_decomposition(pair, ranks, big)
 
 
+@pytest.mark.parametrize("pair,ranks,big", [
+    ("gl-in-sp", (3,), (1, 2)),
+    ("o-sum", (4, 4), (1, 2)),
+    ("sp-diag", (2,), ((1, 2), (1,))),
+])
+def test_o_and_sp_labels_that_are_no_partition_are_invalid(pair, ranks, big):
+    # the same check as for GL labels, before any weight is read as dominant
+    with pytest.raises(InvalidLabel, match="is not a partition"):
+        oracle_decomposition(pair, ranks, big)
+
+
 def test_oracle_decomposition_reads_the_first_two_sum_ranks():
     assert oracle_decomposition("o-sum", (3, 3, 1), (1,)) == \
         oracle_decomposition("o-sum", (3, 3), (1,))

@@ -18,7 +18,6 @@ from branchkit.partitions import (
     parse_gl_label,
     parse_partition,
     partitions_of,
-    partitions_over,
     partitions_up_to,
     subpartitions,
 )
@@ -168,12 +167,6 @@ def test_subpartitions_complete_and_duplicate_free():
             sized = list(subpartitions(p, k))
             assert len(sized) == len(set(sized))
             assert set(sized) == {q for q in got if sum(q) == k}
-
-
-def test_partitions_over():
-    got = set(partitions_over((1, 1), 4, max_first=3, max_length=3))
-    assert got == {(2, 2), (2, 1, 1), (3, 1)}
-    assert list(partitions_over((), 0)) == [()]
 
 
 def test_gl_label_parsing():

@@ -174,6 +174,16 @@ def test_the_embedding_oracle_expands_no_weight_system():
     assert not reached & banned, reached & banned
 
 
+def test_products_read_one_skew_expansion():
+    """tensor_expand reads its whole product from one skew expansion in
+    the box complement: it neither enumerates candidate constituents nor
+    evaluates a coefficient for each."""
+    source = (SRC / "lr.py").read_text(encoding="utf-8")
+    reached = names_reached(source, "tensor_expand")
+    assert "skew_expand" in reached
+    assert not reached & {"lr_coeff", "lr_count_direct"}, reached
+
+
 # the package's memos; perfbench's workloads empty exactly these
 MEMOS = {"lr._SKEW_CACHE", "characters._CHAR_CACHE", "characters._FREUD_CACHE",
          "characters._SUPPORT_CACHE", "oracle._ORACLE_CACHE"}
