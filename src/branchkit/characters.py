@@ -22,16 +22,19 @@ Two independent routes produce them:
     over the signs of the nonzero entries (SO(2n) with no zero entry: the
     first n-1, the last sign set by parity).  The memo _SUPPORT_CACHE
     holds these orbits, keyed by (family, rank, dominant weight), and is
-    shared by every irreducible: full_weight_support assembles a weight
-    system {vector: m} from it afresh on each call, one dict.fromkeys per
-    dominant weight.
+    shared by every irreducible.  It serves only full_weight_support,
+    which assembles a weight system {vector: m} from it afresh on each
+    call, one dict.fromkeys per dominant weight, and the rebuild check of
+    decompose_character; the oracle's pipelines read dominant weights
+    alone.
 
 The two are cross-checked against each other in the test suite.
 
 greedy_decompose is the one highest-weight subtraction loop: the oracle's
-restrictions (through decompose_character here) and direct-sum pairs run
-it, each caller keeping its own check; the oracle's tensor products use the
-Brauer-Klimyk fold instead.  decompose_character re-verifies every
+restrictions and direct-sum pairs run it on their remainders, and
+decompose_character here on a whole character, each caller keeping its
+own check; the oracle's tensor products use the Brauer-Klimyk fold
+instead.  decompose_character re-verifies every
 decomposition by rebuilding its input: it sums the constituents' dominant
 multiplicities, expands the sums over the memoized orbits into the whole
 polynomial, and compares that with the whole input.
@@ -439,6 +442,10 @@ def weight_multiplicities(g: GroupSpec, weight) -> MappingProxyType:
     each orbit's k-sum is taken once, through one positive member, and
     scaled by the number of positive roots it holds (Moody and Patera,
     Bull. AMS 7 (1982) 237-242)."""
+    if isinstance(weight, tuple):  # memo keys are dominant tuples
+        cached = _FREUD_CACHE.get((g.family, g.torus_rank, weight))
+        if cached is not None:
+            return cached
     lam = ensure_dominant(g, weight)
     key = (g.family, g.torus_rank, lam)
     cached = _FREUD_CACHE.get(key)
@@ -553,14 +560,18 @@ def full_weight_support(g: GroupSpec, weight) -> LaurentPoly:
     return _expand(g, weight_multiplicities(g, ensure_dominant(g, weight)))
 
 
-def _root_product(family: str, x) -> int:
-    """∏ <x, α> over the positive roots α (those of positive_roots)."""
+def _root_product(family: str, x, lo: int, hi: int) -> int:
+    """∏ <x, α> over the positive roots α (those of positive_roots) that
+    do not lie in the coordinates lo..hi-1 alone."""
     out = 1
     for i, a in enumerate(x):
-        for b in x[i + 1:]:
+        inside = lo <= i < hi
+        for b in x[hi if inside else i + 1:]:
             out *= a - b  # e_i - e_j
             if family != "GL":
                 out *= a + b  # e_i + e_j
+        if inside:
+            continue
         if family == "Sp":
             out *= 2 * a  # 2e_i
         elif family == "SOOdd":
@@ -570,12 +581,16 @@ def _root_product(family: str, x) -> int:
 
 def dim_of_weight(g: GroupSpec, weight) -> int:
     """Dimension by the Weyl product formula (any rank), on the doubled
-    vectors 2λ+2ρ and 2ρ."""
+    vectors 2λ+2ρ and 2ρ.  A dominant weight's zero entries are
+    consecutive, and a root that touches only those has the same factor
+    in both products, so it is left out of both."""
     w = ensure_dominant(g, weight)
     tr = two_rho(g)
     doubled = [2 * x + r for x, r in zip(w, tr)]
-    d, rest = divmod(_root_product(g.family, doubled),
-                     _root_product(g.family, tr))
+    lo = sum(x > 0 for x in w)
+    hi = lo + w.count(0)
+    d, rest = divmod(_root_product(g.family, doubled, lo, hi),
+                     _root_product(g.family, tr, lo, hi))
     if rest:
         raise ExactnessError("Weyl dimension formula gave a non-integer")
     return d

@@ -9,18 +9,22 @@ families and rank scale), and one map per label family names the group,
 the label's weight and the weight's label; no code here branches on a pair
 id.  Restrictions and the direct-sum pairs are decomposed by the one greedy
 loop characters.greedy_decompose, tensor products by the Brauer-Klimyk
-fold; each is balanced against Weyl dimensions.  The greedy loop reads only
-the subgroup-dominant part of the restricted character (its remainder),
-and that part is built from the big group's dominant weights without
-expanding a weight system: a direct sum's from splits of each weight's
-entries between the two factors (_sum_remainder), an embedding's from the
-few vectors of each weight's Weyl orbit that land in the subgroup's
-dominant chamber (_restriction_remainder).
+fold; each is balanced against Weyl dimensions.  No pipeline expands a
+weight system: each reads dominant weights (weight_multiplicities) only.
+The greedy loop reads the subgroup-dominant part of the restricted
+character (its remainder), built from the big group's dominant weights:
+a direct sum's from splits of each weight's entries between the two
+factors (_sum_remainder), an embedding's from the few vectors of each
+weight's Weyl orbit that land in the subgroup's dominant chamber
+(_restriction_remainder).
 
 Tensor products (the diagonal pairs) are decomposed without materializing
-the product polynomial: Klimyk's formula folds the smaller factor's weight
-system onto the larger highest weight, reflecting each shifted weight into
-the dominant chamber with its sign (decompose_tensor).  A negative
+the product polynomial: Klimyk's formula folds the smaller factor's
+weights onto the larger highest weight, reflecting each shifted weight
+into the dominant chamber with its sign (decompose_tensor).  Only the
+regular terms are visited: each dominant weight of the smaller factor is
+spread over its Weyl orbit one position at a time, and a position that
+lands on a wall ends the branch (_regular_terms).  A negative
 multiplicity raises NotACharacter, and every decomposition is balanced
 against Weyl dimensions, so a dropped or spurious constituent cannot pass
 silently.
@@ -34,10 +38,10 @@ equality, but query entry points refuse such labels outright.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from itertools import product
 from math import comb, inf
-from operator import add
 from types import MappingProxyType
 from typing import Callable, NamedTuple
 
@@ -50,14 +54,15 @@ from .characters import (
     Weight,
     dim_of_weight,
     dominant_rep,
-    full_weight_support,
     greedy_decompose,
     two_rho,
     weight_multiplicities,
 )
-# not called here: bound only because perfbench's tracer wraps them as
-# oracle attributes
-from .characters import decompose_character, restrict_character
+# not called here (the fold reads dominant weights, and no pipeline
+# expands a weight system): bound only because perfbench's tracer wraps
+# them as oracle attributes
+from .characters import (decompose_character, full_weight_support,
+                         restrict_character)
 from .errors import (
     ExactnessError,
     NotACharacter,
@@ -202,66 +207,76 @@ def dim_irrep(label: RepLabel) -> int:
 # tensor-product decomposition by the Brauer-Klimyk fold
 
 
-def _sign(x: list) -> int:
-    """The sign of the permutation sorting x's distinct entries down."""
-    inversions = 0
-    for i, a in enumerate(x):
-        for b in x[i + 1:]:
-            if a < b:
-                inversions += 1
-    return -1 if inversions % 2 else 1
+def _regular_terms(family: str, top: list, d: Weight, m: int, acc: dict):
+    """Add m·det(w)·[w(x)] to acc for each distinct vector u of the Weyl
+    orbit of the dominant weight d whose x = top + 2u is regular, where w
+    takes x into the dominant chamber.  x is filled one position at a time
+    from d's remaining entries (off GL, a magnitude and a sign), last
+    position first, since top's smallest entries meet 0 and each other
+    most often; a choice whose key (x_i, off GL |x_i|) is taken already,
+    or is 0 for Sp and SOOdd, lies on a wall and is dropped at once.  The
+    taken keys are kept sorted: past the insertion point of a new key lie
+    the later positions' larger keys, the inversions it adds, and the keys
+    read backwards are the dominant y = w(x) (SOEven: its nonzero last
+    entry negated after an odd number of sign changes)."""
+    off = family != "GL"
+    zero_wall = family in ("Sp", "SOOdd")
+    left = Counter(map(abs, d) if off else d)
+    # SO(2n) changes an even number of signs: with no zero entry the
+    # negated entries keep the parity of d's own negative last entry
+    parity = (int(d[-1] < 0) if family == "SOEven" and 0 not in left
+              else None)
+    # each position's choices: (entry, key, u_i < 0, x_i < 0)
+    choices = [[(v, abs(x) if off else x, u < 0, x < 0)
+                for v in left for u in ((v, -v) if off and v else (v,))
+                for x in (t + 2 * u,) if x or not zero_wall]
+               for t in top]
+    keys: list[int] = []
 
-
-def _fold(family: str, top: list, weights) -> dict[Weight, int]:
-    """Σ m·det(w)·[w(x)] over the weights u (multiplicity m) of one factor,
-    where x = top + 2u and w takes x into the dominant chamber; a term whose
-    x lies on a wall (is fixed by a reflection) vanishes and is skipped."""
-    acc: dict[Weight, int] = {}
-    n = len(top)
-    if family == "GL":  # W permutes the entries
-        for u, m in weights:
-            x = list(map(add, top, map(add, u, u)))
-            y = sorted(x, reverse=True)
-            if len(set(y)) < n:
+    def fill(i: int, inversions: int, flips: int, negatives: int):
+        for v, key, flip, negative in choices[i]:
+            if not left[v]:
                 continue
-            if y != x:
-                m *= _sign(x)
+            pos = bisect_left(keys, key)
+            if pos < len(keys) and keys[pos] == key:
+                continue
+            inv = inversions + len(keys) - pos
+            if i:
+                left[v] -= 1
+                keys.insert(pos, key)
+                fill(i - 1, inv, flips + flip, negatives + negative)
+                del keys[pos]
+                left[v] += 1
+                continue
+            if parity is not None and (flips + flip) % 2 != parity:
+                continue
+            y = (keys[:pos] + [key] + keys[pos:])[::-1]
+            sign = -1 if inv % 2 else 1
+            if (negatives + negative) % 2:
+                if zero_wall:  # each sign change reflects in 2e_i or e_i
+                    sign = -sign
+                elif off and y[-1]:
+                    y[-1] = -y[-1]
             y = tuple(y)
-            acc[y] = acc.get(y, 0) + m
-        return acc
-    # W also changes signs: any number of them for Sp and SOOdd (each one a
-    # reflection in the root 2e_i or e_i), an even number for SOEven (det 1)
-    reflects = family != "SOEven"
-    for u, m in weights:
-        x = list(map(add, top, map(add, u, u)))
-        if reflects and 0 in x:
-            continue
-        a = list(map(abs, x))
-        y = sorted(a, reverse=True)
-        if len(set(y)) < n:
-            continue
-        if y != a:
-            m *= _sign(a)
-        if a != x and len([v for v in x if v < 0]) % 2:
-            if reflects:
-                m = -m
-            elif y[-1]:  # no zero entry to absorb the odd sign change
-                y[-1] = -y[-1]
-        y = tuple(y)
-        acc[y] = acc.get(y, 0) + m
-    return acc
+            acc[y] = acc.get(y, 0) + sign * m
+
+    fill(len(top) - 1, 0, 0, 0)
 
 
 def decompose_tensor(g: GroupSpec, w1: Weight, w2: Weight) -> dict[Weight, int]:
     """Irreducible content of the product character chi_{w1}·chi_{w2}.
 
-    Klimyk's formula folds the smaller factor's weight system onto the
-    larger highest weight λ: χ_λ·χ_μ = Σ_u m_μ(u) det(w) χ_{w(λ+u+ρ)-ρ},
-    over the weights u of μ, with w taking λ+u+ρ to the dominant chamber
-    and terms on a wall dropped.  The vectors are doubled so that SOOdd's
-    half-integral ρ stays integral.  A negative multiplicity raises
-    NotACharacter, and the result is balanced against Weyl dimensions
-    before being returned, keys in decreasing lexicographic order.
+    Klimyk's formula folds the smaller factor's weights onto the larger
+    highest weight λ: χ_λ·χ_μ = Σ_u m_μ(u) det(w) χ_{w(λ+u+ρ)-ρ}, over
+    the weights u of μ, with w taking λ+u+ρ to the dominant chamber and
+    terms on a wall dropped.  Only the regular terms are visited: each
+    dominant weight of μ (weight_multiplicities) spreads over its Weyl
+    orbit one position at a time, and a position that lands on a wall
+    cuts the branch (_regular_terms), so no weight system or orbit is
+    built.  The vectors are doubled so that SOOdd's half-integral ρ stays
+    integral.  A negative multiplicity raises NotACharacter, and the
+    result is balanced against Weyl dimensions before being returned,
+    keys in decreasing lexicographic order.
     """
     d1 = dim_of_weight(g, w1)
     d2 = dim_of_weight(g, w2)
@@ -269,7 +284,9 @@ def decompose_tensor(g: GroupSpec, w1: Weight, w2: Weight) -> dict[Weight, int]:
         w1, w2, d1, d2 = w2, w1, d2, d1
     tr = two_rho(g)
     top = [2 * a + r for a, r in zip(w2, tr)]
-    acc = _fold(g.family, top, full_weight_support(g, w1).items())
+    acc: dict[Weight, int] = {}
+    for d, m in weight_multiplicities(g, w1).items():
+        _regular_terms(g.family, top, d, m, acc)
     out: dict[Weight, int] = {}
     for y in sorted(acc, reverse=True):
         m = acc[y]

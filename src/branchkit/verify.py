@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import product
 from math import inf
@@ -64,12 +65,15 @@ def gl_labels(max_total: int) -> list[GLLabel]:
             for pp in partitions_of(a) for mm in partitions_of(total - a)]
 
 
-def _compare(report: GridReport, context, fmap, omap, compared,
-             support: bool):
-    """Cell comparisons, plus full support equality when ``support``."""
-    report.cases += len(compared)
-    keys = set(fmap) | set(omap) | set(compared) if support else compared
-    for key in keys:
+def _compare(report: GridReport, context, fmap, omap, cases: int,
+             compared=None):
+    """``cases`` cell comparisons.  Both maps are held equal on the keys
+    that ``compared`` accepts, or on their full supports when it is None;
+    a cell in neither map compares 0 = 0."""
+    report.cases += cases
+    for key in fmap.keys() | omap.keys():
+        if compared and not compared(key):
+            continue
         f = fmap.get(key, 0)
         o = omap.get(key, 0)
         if f != o:
@@ -106,9 +110,9 @@ def _grid(report: GridReport, max_size: int, pair: str, rule):
     the rule's hypotheses hold on the cell (stable_rank; for an orthogonal
     subgroup, no lower than the oracle-safe floor), and cells where they
     hold at no rank are skipped.  A cell's rank depends only on its
-    labels' lengths, so it is found once per distinct pair of length
-    profiles, and the cells are grouped by rank once per distinct
-    profile of the big side."""
+    labels' lengths, so it is found once per pair of a big-side length
+    profile and a key profile, and each rank's cells are held as the key
+    profiles compared there."""
     sums = rule.kind == "sum"
     floor = 2 * max_size + 2 if rule.small == "O" else 1
     smalls = _grid_labels(rule.small, max_size)
@@ -123,28 +127,30 @@ def _grid(report: GridReport, max_size: int, pair: str, rule):
                  else (big, key if sums else (key,)))
         return max(stable_rank(pair, *sides), floor)
 
-    profiles = [_lengths(key) for key in keys]
-    groups: dict = {}  # big's profile -> {rank: the keys compared there}
+    profile_of = {key: _lengths(key) for key in keys}
+    count = Counter(profile_of.values())
+    one_key = {kp: key for key, kp in profile_of.items()}
+    groups: dict = {}  # big's profile -> {rank: the key profiles there}
     for big in bigs:
         profile = _lengths(big)
         if profile not in groups:
-            rank_of: dict = {}  # key's profile -> the cell's rank
             by_rank = groups[profile] = {}
-            for key, kp in zip(keys, profiles):
-                if kp not in rank_of:
-                    rank_of[kp] = rank(big, key)
-                if rank_of[kp] != inf:
-                    by_rank.setdefault(rank_of[kp], []).append(key)
+            for kp, key in one_key.items():
+                n = rank(big, key)
+                if n != inf:
+                    by_rank.setdefault(n, set()).add(kp)
         by_rank = groups[profile]
         # one formula map for a sum rule: it has no rank-dependent caps
         fmap = branch_decompose(pair, big, None) if sums else None
         support_n = max(by_rank)  # both maps carry the full support there
-        for n, compared in sorted(by_rank.items()):
+        for n, kps in sorted(by_rank.items()):
             ranks = (n, n) if sums else (n,)
             omap = oracle_decomposition(pair, ranks, big)
             _compare(report, (pair, ranks, big),
                      fmap if sums else branch_decompose(pair, big, ranks),
-                     omap, compared, n == support_n)
+                     omap, sum(count[kp] for kp in kps),
+                     None if n == support_n
+                     else lambda key, kps=kps: profile_of.get(key) in kps)
 
 
 # ---------------------------------------------------------------------------

@@ -183,6 +183,20 @@ def test_dimensions_match_the_fraction_product_at_higher_rank():
                 assert dim_of_weight(g, tuple(w)) == expected, (g, w)
 
 
+def test_dimensions_match_the_weight_system_size():
+    # every dominant weight with entries at most 2 in absolute value: many
+    # zero entries, whose roots the product leaves out
+    from itertools import combinations_with_replacement
+
+    for fam in FAMILIES:
+        for rank in range(1, 7):
+            g = GroupSpec(fam, rank)
+            for w in combinations_with_replacement(range(2, -3, -1), rank):
+                if is_dominant(g, w):
+                    assert dim_of_weight(g, w) == \
+                        sum(full_weight_support(g, w).values()), (g, w)
+
+
 def test_weight_multiplicities_known_values():
     # adjoint of GL(3): zero weight has multiplicity 2
     mults = weight_multiplicities(GL(3), (1, 0, -1))

@@ -290,35 +290,66 @@ def test_fold_matches_multiplied_out_product(case):
         _slow_tensor(g, w1, w2)
 
 
+def _pad(plus, n, minus=()):
+    return (tuple(plus) + (0,) * (n - len(plus) - len(minus))
+            + tuple(-x for x in reversed(minus)))
+
+
+def _stable_products():
+    # short labels at ranks 5-7, the stable-range shapes, where most fold
+    # terms lie on a wall; at ranks 5 and 6 SO(2n)'s weight with a
+    # negative last entry is the smaller factor of its product with
+    # (2, 1), so that the fold reads dominant weights with no zero entry
+    for n in (5, 6, 7):
+        for family in ("Sp", "SOOdd", "SOEven"):
+            for a, b in (((1,), (2, 1)), ((1, 1), (2,)), ((2,), (1, 1, 1))):
+                yield GroupSpec(family, n), _pad(a, n), _pad(b, n)
+        for (ap, am), (bp, bm) in ((((1,), ()), ((2, 1), ())),
+                                   (((1,), (1,)), ((2,), (1,))),
+                                   (((1, 1), ()), ((1,), (2,)))):
+            yield GL(n), _pad(ap, n, am), _pad(bp, n, bm)
+        negative = (1,) * (n - 1) + (-1,)
+        for b in ((1,), (1, 1), (2, 1)) if n < 7 else ((1,), (1, 1)):
+            yield GroupSpec("SOEven", n), negative, _pad(b, n)
+
+
+@pytest.mark.parametrize("g,w1,w2", list(_stable_products()))
+def test_fold_matches_multiplied_out_product_in_the_stable_range(g, w1, w2):
+    assert list(decompose_tensor(g, w1, w2).items()) == \
+        _slow_tensor(g, w1, w2)
+
+
 @pytest.mark.parametrize("g,w1,w2,caught", [
     (GL(3), (1, 0, 0), (1, 1, 0), {ExactnessError}),
     (Sp(2), (1, 0), (1, 1), {ExactnessError}),
     (SO(7), (1, 0, 0), (1, 1, 0), {ExactnessError, NotACharacter}),
     (SO(8), (1, 1, 1, 1), (1, 1, 1, -1), {ExactnessError, NotACharacter}),
+    (Sp(4), (2, 1, 0, 0), (3, 1, 0, 0), {ExactnessError, NotACharacter}),
+    (SO(12), (1, 1, 0, 0, 0, 0), (2, 1, 0, 0, 0, 0),
+     {ExactnessError, NotACharacter}),
+    (GL(5), (1, 1, 0, 0, -1), (2, 0, 0, 0, -1),
+     {ExactnessError, NotACharacter}),
 ])
 def test_fold_checks_catch_a_dropped_weight(monkeypatch, g, w1, w2, caught):
-    # the fold reads the smaller factor's weight system (here w1's); with
-    # any one weight missing, decompose_tensor raises, unless that weight's
-    # term lies on a wall and so contributes nothing
+    # the fold reads the smaller factor's dominant weights (here w1's);
+    # with any one of them dropped, or its multiplicity lowered by one,
+    # decompose_tensor raises
     import branchkit.oracle as oracle
 
-    truth = decompose_tensor(g, w1, w2)
-    real = oracle.full_weight_support
+    real = oracle.weight_multiplicities
     raised = set()
-    for dropped in list(real(g, w1)):
-        def lossy(group, w, dropped=dropped):
-            system = dict(real(group, w))
-            if w == w1:
-                del system[dropped]
-            return system
+    for lost, m in real(g, w1).items():
+        for loss in {m, 1}:
+            def lossy(group, w, lost=lost, loss=loss):
+                system = dict(real(group, w))
+                if w == w1:
+                    system[lost] -= loss
+                return system
 
-        monkeypatch.setattr(oracle, "full_weight_support", lossy)
-        try:
-            out = decompose_tensor(g, w1, w2)
-        except (NotACharacter, ExactnessError) as exc:
-            raised.add(type(exc))
-        else:
-            assert dropped != w1 and out == truth, dropped
+            monkeypatch.setattr(oracle, "weight_multiplicities", lossy)
+            with pytest.raises((NotACharacter, ExactnessError)) as exc:
+                decompose_tensor(g, w1, w2)
+            raised.add(exc.type)
     assert raised == caught
 
 

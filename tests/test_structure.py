@@ -174,6 +174,17 @@ def test_the_embedding_oracle_expands_no_weight_system():
     assert not reached & banned, reached & banned
 
 
+def test_the_tensor_oracle_expands_no_weight_system():
+    """decompose_tensor folds only the regular Brauer-Klimyk terms, read
+    from the smaller factor's dominant weights: it neither expands a
+    weight system nor builds a Weyl orbit."""
+    source = (SRC / "oracle.py").read_text(encoding="utf-8")
+    reached = names_reached(source, "decompose_tensor")
+    assert "weight_multiplicities" in reached
+    banned = {"full_weight_support", "orbit_vectors"}
+    assert not reached & banned, reached & banned
+
+
 def test_products_read_one_skew_expansion():
     """tensor_expand reads its whole product from one skew expansion in
     the box complement: it neither enumerates candidate constituents nor

@@ -52,3 +52,22 @@ def test_gl_diag_mismatch_context(monkeypatch):
 def test_run_grid_of_an_unknown_pair_is_unknown_pair():
     with pytest.raises(UnknownPair):
         run_grid("nope")
+
+
+def test_cells_beyond_the_cap_are_compared_at_the_support_rank(monkeypatch):
+    # a constituent beyond the size cap is held equal once per big input,
+    # at the rank where both maps carry the full support, while a wrong
+    # value in a compared cell is found at every rank that compares it
+    real = verify.oracle_decomposition
+    monkeypatch.setattr(verify, "oracle_decomposition",
+                        lambda *a: {**real(*a), (9,): 1})
+    report = run_grid("sp-diag", 2)
+    assert [m["small"] for m in report.mismatches] == [(9,)] * 16
+    assert len({m["context"][2] for m in report.mismatches}) == 16
+
+    monkeypatch.setattr(verify, "oracle_decomposition",
+                        lambda *a: {k: m + 1 for k, m in real(*a).items()})
+    ranks: dict = {}
+    for m in run_grid("sp-diag", 2).mismatches:
+        ranks.setdefault(m["context"][2], set()).add(m["context"][1])
+    assert max(map(len, ranks.values())) > 1
