@@ -37,7 +37,8 @@ for w, m in sorted(decompose_character(restricted, Sp(2)).items(), reverse=True)
     print(f"   {m} · V{w}")
 print()
 
-print("The package routes every verification grid through this pipeline.")
+print("The verification grids' oracle reaches the same answers from the big")
+print("group's dominant weights alone, never expanding a whole character.")
 print("S²C^6 under O(6), by characters alone:")
 print("  ", oracle_decomposition("o-in-gl", (6,), GLLabel((2,), ())))
 print("and by the closed formula:")

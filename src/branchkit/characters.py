@@ -295,11 +295,12 @@ def _divide_exact(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     return quo
 
 
-_CHAR_CACHE: dict[tuple[str, int, Weight], LaurentPoly] = {}
+_CHAR_CACHE: dict[tuple[str, int, Weight], MappingProxyType] = {}
 
 
-def irreducible_character(g: GroupSpec, weight) -> LaurentPoly:
-    """Exact irreducible character by the alternating-sum quotient.
+def irreducible_character(g: GroupSpec, weight) -> MappingProxyType:
+    """Exact irreducible character by the alternating-sum quotient, as a
+    read-only view of the memo's entry.
 
     Enumerates the full Weyl group twice (numerator and denominator), so
     rank beyond ~6 is impractical; use weight_multiplicities there.  The
@@ -326,7 +327,7 @@ def irreducible_character(g: GroupSpec, weight) -> LaurentPoly:
         num = _alternating_sum(g, tuple(x + r for x, r in zip(w, rho)))
         den = _alternating_sum(g, rho)
         out = _divide_exact(num, den)
-    _CHAR_CACHE[key] = out
+    out = _CHAR_CACHE[key] = MappingProxyType(out)
     return out
 
 

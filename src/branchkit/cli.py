@@ -6,6 +6,10 @@ default (integers only, canonical key order) or TSV with --format tsv.
 Exit codes: 0 success, 1 usage or parse error, 2 stable-range violation,
 3 verification mismatch.
 
+verify runs each grid at the acceptance suite's cap, verify.DEFAULT_MAX_SIZE
+(6, or 5 for gl-diag and gl-sum), unless --max-size sets one cap for all.
+selftest is verify --pair all --max-size 2, then a PASS or FAIL line.
+
 If BRANCHKIT_CACHE names a file, the Littlewood-Richardson memo is loaded
 from it on startup and written back on exit; otherwise the cache is
 in-memory only.  A cache file that cannot be read, parsed or written draws
@@ -69,13 +73,6 @@ def _format_label(data) -> str:
     return format_partition(data)
 
 
-def _format_small_key(key) -> str:
-    if isinstance(key, tuple) and key and isinstance(key[0], (tuple, GLLabel)) \
-            and not isinstance(key, GLLabel):
-        return "|".join(_format_label(k) for k in key)
-    return _format_label(key)
-
-
 def _dump(record: dict) -> str:
     return json.dumps(record, separators=(",", ":"), ensure_ascii=False)
 
@@ -124,7 +121,7 @@ def cmd_branch(args) -> int:
     violations = stable_range_violations(q)
     record = {
         "pair": q.pair,
-        "ranks": list(_ranks(args, q.pair)),
+        "ranks": list(q.ranks),
         "big": _format_label(q.big.data),
         "small": [_format_label(s.data) for s in q.small],
     }
@@ -169,10 +166,12 @@ def cmd_decompose(args) -> int:
     if violations and not args.unsafe:
         raise StableRangeViolation(RULE_ID[pair], violations)
     dec = branch_decompose(pair, big, ranks, bound=args.bound)
-    result = {}
-    for key in sorted(dec, key=lambda k: _label_sort_key(_format_small_key(k))):
-        result[_format_small_key(key)] = dec[key]
-    record["result"] = result
+    if rule.kind == "sum":  # each key is the pair (μ, ν)
+        texts = {"|".join(map(_format_label, k)): m for k, m in dec.items()}
+    else:
+        texts = {_format_label(k): m for k, m in dec.items()}
+    record["result"] = {k: texts[k]
+                        for k in sorted(texts, key=_label_sort_key)}
     record["stable_range"] = not violations
     record["elapsed_ms"] = int((time.perf_counter() - t0) * 1000)
     _emit(record, args.format)
@@ -207,23 +206,18 @@ def cmd_verify(args) -> int:
     pairs = PAIR_IDS if args.pair == "all" else (args.pair,)
     for p in pairs:
         rule_of(p)
-    if args.max_size < 0:  # a negative cap would compare nothing
-        raise ParseError(f"--max-size must be >= 0, got {args.max_size}")
-    failed = False
-    reports = []
-    for p in pairs:
-        reports.append(run_grid(p, args.max_size))
+    cap = args.max_size  # None: each grid's and sweep's own default
+    if cap is not None and cap < 0:  # a negative cap would compare nothing
+        raise ParseError(f"--max-size must be >= 0, got {cap}")
+    reports = [run_grid(p, cap) for p in pairs]
     if args.pair == "all":
-        reports.append(run_littlewood_consistency(args.max_size + 1))
+        reports.append(run_littlewood_consistency() if cap is None
+                       else run_littlewood_consistency(cap + 1))
         reports.append(run_duality_sweeps())
         reports.append(run_lr_spot_checks(seed=args.seed))
     for rep in reports:
         print(rep.line())
-        if not rep.ok:
-            failed = True
-            m = rep.mismatches[0]
-            print(f"  first counterexample: {m['context']} small={m['small']}"
-                  f" formula={m['formula']} oracle={m['oracle']}")
+    failed = not all(rep.ok for rep in reports)
     if args.pair == "all":
         probe = run_padding_probe()
         status = ("no deviations" if probe.ok
@@ -233,23 +227,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    from .verify import (
-        run_duality_sweeps,
-        run_grid,
-        run_littlewood_consistency,
-        run_lr_spot_checks,
-    )
-
-    failed = False
-    reports = [run_grid(p, 2) for p in PAIR_IDS]
-    reports.append(run_littlewood_consistency(3))
-    reports.append(run_duality_sweeps(4))
-    reports.append(run_lr_spot_checks(count=20))
-    for rep in reports:
-        print(rep.line())
-        failed = failed or not rep.ok
-    print("selftest:", "FAIL" if failed else "PASS")
-    return EXIT_MISMATCH if failed else EXIT_OK
+    """``verify --pair all --max-size 2``, then a verdict line."""
+    code = cmd_verify(build_parser().parse_args(
+        ["verify", "--pair", "all", "--max-size", "2"]))
+    print("selftest:", "FAIL" if code else "PASS")
+    return code
 
 
 def build_parser() -> _Parser:
@@ -293,7 +275,9 @@ def build_parser() -> _Parser:
 
     pv = sub.add_parser("verify", help="formula-vs-oracle grids")
     pv.add_argument("--pair", default="all")
-    pv.add_argument("--max-size", type=int, default=3)
+    pv.add_argument("--max-size", type=int,
+                    help="one size cap N for every grid, N+1 for Littlewood "
+                         "(default: verify.DEFAULT_MAX_SIZE, Littlewood 6)")
     pv.add_argument("--seed", type=int, default=1)
     pv.set_defaults(func=cmd_verify)
 

@@ -50,9 +50,21 @@ class GridReport:
     def ok(self) -> bool:
         return not self.mismatches
 
+    def add(self, context, small, formula, oracle):
+        """Record one counterexample: where it was found, the small-side
+        key, and what each route gave."""
+        self.mismatches.append({"context": context, "small": small,
+                                "formula": formula, "oracle": oracle})
+
     def line(self) -> str:
-        status = "ok" if self.ok else f"{len(self.mismatches)} mismatches"
-        return f"{self.pair}: {self.cases} cases, {status}"
+        """The status line, then the first counterexample if any."""
+        if self.ok:
+            return f"{self.pair}: {self.cases} cases, ok"
+        m = self.mismatches[0]
+        return (f"{self.pair}: {self.cases} cases, {len(self.mismatches)}"
+                f" mismatches\n  first counterexample: {m['context']}"
+                f" small={m['small']} formula={m['formula']}"
+                f" oracle={m['oracle']}")
 
 
 def partition_labels(max_size: int) -> list[Partition]:
@@ -77,8 +89,7 @@ def _compare(report: GridReport, context, fmap, omap, cases: int,
         f = fmap.get(key, 0)
         o = omap.get(key, 0)
         if f != o:
-            report.mismatches.append(
-                {"context": context, "small": key, "formula": f, "oracle": o})
+            report.add(context, key, f, o)
 
 
 def run_grid(pair: str, max_size: int | None = None) -> GridReport:
@@ -171,9 +182,7 @@ def run_littlewood_consistency(max_size: int = 6) -> GridReport:
                 rhs = bilinear_sum(GLLabel(lam, ()), mu, even)
                 report.cases += 1
                 if lhs != rhs:
-                    report.mismatches.append(
-                        {"context": (family, n, lam), "small": mu,
-                         "formula": rhs, "oracle": lhs})
+                    report.add((family, n, lam), mu, rhs, lhs)
     report.elapsed_ms = int((time.perf_counter() - t0) * 1000)
     return report
 
@@ -187,9 +196,7 @@ def run_duality_sweeps(max_degree: int = 8) -> GridReport:
     def check(kind, d, **kw):
         report.cases += 1
         if not duality_dim_check(kind, d, **kw):
-            report.mismatches.append(
-                {"context": (kind, kw), "small": d,
-                 "formula": "dimension mismatch", "oracle": ""})
+            report.add((kind, kw), d, "dimension mismatch", "")
 
     for n in range(1, 5):
         for p in range(1, 5):
@@ -231,9 +238,8 @@ def run_padding_probe(max_size: int = 3) -> GridReport:
                     lam, mu, nu, caps=(p + 1, q + 1, r + 1, s + 1))
                 free = diagonal_gl_sum(lam, mu, nu)
                 if not (minimal == padded == free):
-                    report.mismatches.append({
-                        "context": ("padding", mu, nu), "small": lam,
-                        "formula": (minimal, padded), "oracle": free})
+                    report.add(("padding", mu, nu), lam, (minimal, padded),
+                               free)
     report.elapsed_ms = int((time.perf_counter() - t0) * 1000)
     return report
 
@@ -260,8 +266,6 @@ def run_lr_spot_checks(count: int = 60, seed: int = 1) -> GridReport:
         b = lr_count_direct(lam, nu, mu)
         c = lr_coeff(lam, mu, nu)
         if not (a == b == c):
-            report.mismatches.append(
-                {"context": (lam, mu, nu), "small": lam,
-                 "formula": c, "oracle": (a, b)})
+            report.add((lam, mu, nu), lam, c, (a, b))
     report.elapsed_ms = int((time.perf_counter() - t0) * 1000)
     return report

@@ -218,6 +218,14 @@ def test_weight_multiplicities_is_read_only():
     assert sum(full_weight_support(GL(3), (1, 0, -1)).values()) == 8
 
 
+def test_irreducible_character_is_read_only():
+    # the quotient's memo entry is handed out as a view, as Freudenthal's is
+    chi = irreducible_character(GL(2), (1, 0))
+    with pytest.raises(TypeError):
+        chi[(1, 0)] = 5
+    assert irreducible_character(GL(2), (1, 0)) == {(1, 0): 1, (0, 1): 1}
+
+
 def test_orbit_vectors_signed_counts():
     assert sorted(orbit_vectors(GL(3), (2, 1, 0))) == sorted(
         {(2, 1, 0), (2, 0, 1), (1, 2, 0), (0, 2, 1), (1, 0, 2), (0, 1, 2)})

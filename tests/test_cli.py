@@ -204,9 +204,7 @@ def test_verify_mismatch_exit_three(capsys, monkeypatch):
     def fake_grid(pair, max_size=None):
         report = verify_mod.GridReport(pair)
         report.cases = 1
-        report.mismatches.append(
-            {"context": (pair, (2,), ()), "small": (), "formula": 1,
-             "oracle": 0})
+        report.add((pair, (2,), ()), (), 1, 0)
         return report
 
     monkeypatch.setattr(verify_mod, "run_grid", fake_grid)
@@ -301,9 +299,10 @@ def test_selftest_passes(capsys):
     code, out, _ = run_cli(capsys, "selftest")
     assert code == 0
     lines = out.splitlines()
-    # one line per grid and per sweep, then the verdict
-    assert [line.split(":")[0] for line in lines[:-1]] == [*PAIR_IDS, *SWEEPS]
-    assert all(line.endswith(" cases, ok") for line in lines[:-1])
+    # one line per grid and per sweep, the padding probe, then the verdict
+    assert [line.split(":")[0] for line in lines[:-2]] == [*PAIR_IDS, *SWEEPS]
+    assert all(line.endswith(" cases, ok") for line in lines[:-2])
+    assert lines[-2].startswith("padding-probe: ")
     assert lines[-1] == "selftest: PASS"
 
 
@@ -317,3 +316,58 @@ def test_verify_all_at_a_small_cap(capsys):
     assert all(line.endswith(" cases, ok") for line in lines[:-1])
     assert re.fullmatch(r"padding-probe: \d+ cases, (no deviations|\d+ "
                         r"deviations \(finding, not failure\))", lines[-1])
+
+
+def test_verify_runs_the_library_caps_by_default(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--pair", "o-sum")
+    assert code == 0
+    assert out == "o-sum: 27000 cases, ok\n"
+
+
+def test_verify_all_passes_no_cap_to_the_grids(capsys, monkeypatch):
+    import branchkit.verify as verify_mod
+
+    caps = {}
+
+    def fake_grid(pair, max_size=None):
+        caps[pair] = max_size
+        return verify_mod.GridReport(pair)
+
+    monkeypatch.setattr(verify_mod, "run_grid", fake_grid)
+    code, out, _ = run_cli(capsys, "verify", "--pair", "all")
+    assert code == 0
+    assert caps == dict.fromkeys(PAIR_IDS)
+    assert "littlewood: 1110 cases, ok" in out.splitlines()
+    caps.clear()
+    code, out, _ = run_cli(capsys, "verify", "--pair", "all",
+                           "--max-size", "1")
+    assert caps == dict.fromkeys(PAIR_IDS, 1)
+    assert "littlewood: 22 cases, ok" in out.splitlines()
+
+
+def test_selftest_is_verify_at_cap_two(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--pair", "all",
+                           "--max-size", "2")
+    assert code == 0
+    code, selftest, _ = run_cli(capsys, "selftest")
+    assert code == 0
+    assert selftest == out + "selftest: PASS\n"
+
+
+def test_selftest_fails_on_a_mismatch(capsys, monkeypatch):
+    import branchkit.verify as verify_mod
+
+    real = verify_mod.run_grid
+
+    def fake_grid(pair, max_size=None):
+        report = real(pair, max_size)
+        if pair == "sp-in-gl":
+            report.add((pair, (2,), ()), (), 1, 0)
+        return report
+
+    monkeypatch.setattr(verify_mod, "run_grid", fake_grid)
+    code, out, _ = run_cli(capsys, "selftest")
+    assert code == 3
+    lines = out.splitlines()
+    assert "sp-in-gl: 32 cases, 1 mismatches" in lines
+    assert lines[-1] == "selftest: FAIL"

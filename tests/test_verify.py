@@ -49,6 +49,20 @@ def test_gl_diag_mismatch_context(monkeypatch):
                          + len(nu.plus) + len(nu.minus), 1),)
 
 
+def test_report_line_names_the_first_counterexample():
+    report = verify.GridReport("o-sum", cases=9)
+    assert report.line() == "o-sum: 9 cases, ok"
+    report.add(("o-sum", (4, 4), (1,)), ((1,), ()), 1, 0)
+    report.add(("o-sum", (4, 4), (2,)), ((2,), ()), 0, 1)
+    assert report.line() == (
+        "o-sum: 9 cases, 2 mismatches\n"
+        "  first counterexample: ('o-sum', (4, 4), (1,)) small=((1,), ())"
+        " formula=1 oracle=0")
+    assert report.mismatches[1] == {
+        "context": ("o-sum", (4, 4), (2,)), "small": ((2,), ()),
+        "formula": 0, "oracle": 1}
+
+
 def test_run_grid_of_an_unknown_pair_is_unknown_pair():
     with pytest.raises(UnknownPair):
         run_grid("nope")
