@@ -580,21 +580,33 @@ def _root_product(family: str, x, lo: int, hi: int) -> int:
     return out
 
 
-def dim_of_weight(g: GroupSpec, weight) -> int:
-    """Dimension by the Weyl product formula (any rank), on the doubled
-    vectors 2λ+2ρ and 2ρ.  A dominant weight's zero entries are
-    consecutive, and a root that touches only those has the same factor
-    in both products, so it is left out of both."""
-    w = ensure_dominant(g, weight)
+def weyl_dims(g: GroupSpec, weights) -> list[int]:
+    """Dimensions by the Weyl product formula (any rank), one per weight,
+    on the doubled vectors 2λ+2ρ and 2ρ.  A dominant weight's zero entries
+    are consecutive, and a root that touches only those has the same
+    factor in both products, so it is left out of both.  2ρ and each zero
+    block's denominator are built once per call."""
     tr = two_rho(g)
-    doubled = [2 * x + r for x, r in zip(w, tr)]
-    lo = sum(x > 0 for x in w)
-    hi = lo + w.count(0)
-    d, rest = divmod(_root_product(g.family, doubled, lo, hi),
-                     _root_product(g.family, tr, lo, hi))
-    if rest:
-        raise ExactnessError("Weyl dimension formula gave a non-integer")
-    return d
+    dens: dict[tuple[int, int], int] = {}
+    out = []
+    for weight in weights:
+        w = ensure_dominant(g, weight)
+        lo = sum(x > 0 for x in w)
+        hi = lo + w.count(0)
+        den = dens.get((lo, hi))
+        if den is None:
+            den = dens[lo, hi] = _root_product(g.family, tr, lo, hi)
+        doubled = [2 * x + r for x, r in zip(w, tr)]
+        d, rest = divmod(_root_product(g.family, doubled, lo, hi), den)
+        if rest:
+            raise ExactnessError("Weyl dimension formula gave a non-integer")
+        out.append(d)
+    return out
+
+
+def dim_of_weight(g: GroupSpec, weight) -> int:
+    """The Weyl dimension of one weight (see weyl_dims)."""
+    return weyl_dims(g, (weight,))[0]
 
 
 # ---------------------------------------------------------------------------

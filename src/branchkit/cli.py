@@ -4,7 +4,9 @@ Subcommands: branch, decompose, lr, verify, selftest.  Output is JSON by
 default (integers only, canonical key order) or TSV with --format tsv.
 
 Exit codes: 0 success, 1 usage or parse error, 2 stable-range violation,
-3 verification mismatch.
+3 verification mismatch, 4 standard output closed early (say by
+``branchkit verify | head -1``); the rest of the output is dropped
+without a traceback.
 
 verify runs each grid at the acceptance suite's cap, verify.DEFAULT_MAX_SIZE
 (6, or 5 for gl-diag and gl-sum), unless --max-size sets one cap for all.
@@ -55,6 +57,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_STABLE_RANGE = 2
 EXIT_MISMATCH = 3
+EXIT_BROKEN_PIPE = 4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -318,6 +321,15 @@ def main(argv=None) -> int:
         _load_cache(cache_path)
     try:
         code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+    except BrokenPipeError:
+        # send what is still buffered to os.devnull, so that the flush at
+        # exit cannot raise a second time
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        with contextlib.suppress(OSError, ValueError):  # stdout has no fd
+            os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except StableRangeViolation as exc:
         print(f"stable-range violation: {exc}", file=sys.stderr)
         return EXIT_STABLE_RANGE

@@ -8,6 +8,12 @@ the moment a value is placed.  One traversal of a shape collects every
 admissible content at once, which is what the branching sums actually
 consume.
 
+Leaves are counted without a call each: the search node that fills the
+last cell counts each value it may place there, in a dict keyed by the
+tuple of value counts.  Each distinct key becomes its content once, at
+the end; the counts of a lattice word form a partition, so the content is
+the key up to its first zero.
+
 That search is the only one.  Products use it through the box identity
 c^λ_{μν} = c^{ν∨}_{μ,λ∨}, where p∨ is the complement of p in a box of
 ℓ(μ)+ℓ(ν) rows and μ₁+ν₁ columns, rotated by 180° (Grassmannian duality;
@@ -33,41 +39,50 @@ def _skew_fillings(outer: Partition, inner: Partition) -> dict[Partition, int]:
     """Count lattice fillings of outer/inner, grouped by content."""
     rows = len(outer)
     inner_padded = tuple(inner) + (0,) * (rows - len(inner))
+    table = [[0] * n for n in outer]
+    # per cell, in filling order: its row, column, the row above (None when
+    # the cell above is in inner), whether a cell lies to its right, and
+    # r+1, the largest value a lattice word allows in row r.  Every cell
+    # read (right and above) comes earlier in that order, so it always
+    # holds the value of the current branch and needs no reset.
     cells = []
     for r in range(rows):
         for c in range(outer[r] - 1, inner_padded[r] - 1, -1):
-            cells.append((r, c))
-    result: dict[Partition, int] = {}
+            above = table[r - 1] if r and c >= inner_padded[r - 1] else None
+            cells.append((table[r], c, above, c + 1 < outer[r], r + 1))
     if not cells:
-        result[()] = 1
-        return result
+        return {(): 1}
 
-    table = [[0] * outer[r] for r in range(rows)]
-    counts = [0] * (rows + 2)
-    ncells = len(cells)
+    # counts[v] is how often v has been placed; the sentinel counts[0] lets
+    # value 1 pass the lattice test counts[v-1] > counts[v]
+    counts = [_INF] + [0] * (rows + 1)
+    leaves: dict[tuple[int, ...], int] = {}
+    last = len(cells) - 1
 
     def fill(i: int):
-        if i == ncells:
-            content = tuple(c for c in counts[1:] if c)
-            result[content] = result.get(content, 0) + 1
+        row, c, above, has_right, top = cells[i]
+        hi = row[c + 1] if has_right else top  # row[c+1] <= r+1 already
+        lo = 1 if above is None else above[c] + 1
+        if i == last:  # count the leaves here, without a call each
+            for v in range(lo, hi + 1):
+                if counts[v - 1] <= counts[v]:
+                    continue
+                counts[v] += 1
+                key = tuple(counts)
+                leaves[key] = leaves.get(key, 0) + 1
+                counts[v] -= 1
             return
-        r, c = cells[i]
-        row = table[r]
-        right = row[c + 1] if c + 1 < outer[r] else _INF
-        above = table[r - 1][c] if r > 0 and c >= inner_padded[r - 1] else 0
-        # lattice words force the value at row r to be at most r+1
-        hi = min(right, r + 1)
-        for v in range(above + 1, hi + 1):
-            if v > 1 and counts[v - 1] <= counts[v]:
+        for v in range(lo, hi + 1):
+            if counts[v - 1] <= counts[v]:
                 continue
             counts[v] += 1
             row[c] = v
             fill(i + 1)
             counts[v] -= 1
-        row[c] = 0
 
     fill(0)
-    return result
+    # a lattice word's counts form a partition, and counts[rows+1] stays 0
+    return {key[1:key.index(0, 1)]: n for key, n in leaves.items()}
 
 
 def skew_expand(outer: Partition, inner: Partition) -> dict[Partition, int]:
@@ -129,8 +144,8 @@ def tensor_expand(
     width = (mu[0] if mu else 0) + (nu[0] if nu else 0)
 
     def complement(p: Partition) -> Partition:
-        padded = tuple(p) + (0,) * (rows - len(p))
-        return tuple(width - x for x in reversed(padded) if x < width)
+        return ((width,) * (rows - len(p))
+                + tuple(width - x for x in reversed(p) if x < width))
 
     return {complement(kappa): c
             for kappa, c in skew_expand(complement(nu), mu).items()}

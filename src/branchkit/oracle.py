@@ -42,6 +42,7 @@ from bisect import bisect_left
 from collections import Counter
 from itertools import product
 from math import comb, inf
+from operator import mul
 from types import MappingProxyType
 from typing import Callable, NamedTuple
 
@@ -57,6 +58,7 @@ from .characters import (
     greedy_decompose,
     two_rho,
     weight_multiplicities,
+    weyl_dims,
 )
 # not called here (the fold reads dominant weights, and no pipeline
 # expands a weight system): bound only because perfbench's tracer wraps
@@ -278,8 +280,7 @@ def decompose_tensor(g: GroupSpec, w1: Weight, w2: Weight) -> dict[Weight, int]:
     result is balanced against Weyl dimensions before being returned,
     keys in decreasing lexicographic order.
     """
-    d1 = dim_of_weight(g, w1)
-    d2 = dim_of_weight(g, w2)
+    d1, d2 = weyl_dims(g, (w1, w2))
     if d1 > d2:
         w1, w2, d1, d2 = w2, w1, d2, d1
     tr = two_rho(g)
@@ -294,7 +295,7 @@ def decompose_tensor(g: GroupSpec, w1: Weight, w2: Weight) -> dict[Weight, int]:
             raise NotACharacter(f"negative multiplicity {m} at {y}")
         if m:
             out[tuple((a - r) // 2 for a, r in zip(y, tr))] = m
-    mass = sum(m * dim_of_weight(g, w) for w, m in out.items())
+    mass = sum(map(mul, out.values(), weyl_dims(g, out)))
     if mass != d1 * d2:
         raise ExactnessError(
             f"tensor mass check failed: {mass} != {d1}*{d2} on {g}")
@@ -468,10 +469,11 @@ def _sum_decomposition(rule: PairRule, ranks: tuple, lam) -> dict:
                 for uu, cu in fr_u.items() for vv, cv in fr_v.items()}
 
     raw = greedy_decompose(_sum_remainder(g_big, wbig, ga, gb), system)
-    mass = sum(
-        c * dim_of_weight(ga, u) * dim_of_weight(gb, v)
-        for (u, v), c in raw.items()
-    )
+    # each distinct factor label once
+    us, vs = dict.fromkeys(u for u, _ in raw), dict.fromkeys(v for _, v in raw)
+    dim_u = dict(zip(us, weyl_dims(ga, us)))
+    dim_v = dict(zip(vs, weyl_dims(gb, vs)))
+    mass = sum(c * dim_u[u] * dim_v[v] for (u, v), c in raw.items())
     if mass != dim_of_weight(g_big, wbig):
         raise ExactnessError("direct-sum mass check failed")
     if rule.big == "O":
@@ -512,7 +514,7 @@ def _restriction_decomposition(rule: PairRule, n: int, big) -> dict:
     g = _FAMILIES[rule.small].group(n)
     rem = _restriction_remainder(rule.kind, g_big, wbig, g)
     raw = greedy_decompose(rem, lambda w: weight_multiplicities(g, w))
-    mass = sum(m * dim_of_weight(g, w) for w, m in raw.items())
+    mass = sum(map(mul, raw.values(), weyl_dims(g, raw)))
     if mass != dim_of_weight(g_big, wbig):
         raise ExactnessError("restriction mass check failed")
     return _labels(rule.small, raw, n)

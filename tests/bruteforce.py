@@ -1,11 +1,13 @@
 """Deliberately naive reference implementations for cross-checking.
 
 These share no code or search order with the package: tableaux are built
-cell by cell left-to-right and validated wholesale at the end, and Schur
-polynomials come straight from semistandard-tableau enumeration.
+cell by cell or row by row, left to right, and the lattice condition is
+tested on the finished reading word, and Schur polynomials come straight
+from semistandard-tableau enumeration.
 """
 
-from itertools import product
+from itertools import combinations_with_replacement, product
+from operator import gt
 
 
 def cells_of_skew(outer, inner):
@@ -63,6 +65,32 @@ def naive_lr(outer, inner, content):
         if is_lattice(word):
             count += 1
     return count
+
+
+def lr_fillings_by_content(outer, inner):
+    """{content: count} of the LR tableaux of outer/inner: every
+    semistandard filling with entries at most ℓ(outer), built row by row
+    as weakly increasing rows, kept when its reverse reading word is a
+    lattice word, then tallied by content."""
+    rows = len(outer)
+    inner = tuple(inner) + (0,) * (rows - len(inner))
+    tally = {}
+
+    def rec(r, above, word):
+        if r == rows:
+            if is_lattice(word):
+                content = tuple(n for n in (word.count(v) for v in
+                                            range(1, rows + 1)) if n)
+                tally[content] = tally.get(content, 0) + 1
+            return
+        lead, below = (0,) * inner[r], above[inner[r]:]
+        for row in combinations_with_replacement(range(1, rows + 1),
+                                                 outer[r] - inner[r]):
+            if all(map(gt, row, below)):  # strict down each column
+                rec(r + 1, lead + row, word + row[::-1])
+
+    rec(0, (0,) * (outer[0] if outer else 0), ())
+    return tally
 
 
 def naive_ssyt_weights(shape, nvars):

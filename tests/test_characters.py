@@ -21,6 +21,7 @@ from branchkit.characters import (
     restrict_character,
     two_rho,
     weight_multiplicities,
+    weyl_dims,
     weyl_order,
     _root_orbits,
     _signed_orbit_terms,
@@ -195,6 +196,24 @@ def test_dimensions_match_the_weight_system_size():
                 if is_dominant(g, w):
                     assert dim_of_weight(g, w) == \
                         sum(full_weight_support(g, w).values()), (g, w)
+
+
+def test_weyl_dims_takes_many_weights_in_one_call():
+    # one call mixes every zero block, so a denominator kept for one block
+    # and read for another shows; each answer is its weight system's size
+    from itertools import combinations_with_replacement
+
+    for fam in FAMILIES:
+        for rank in range(1, 5):
+            g = GroupSpec(fam, rank)
+            ws = [w for w in combinations_with_replacement(range(2, -3, -1), rank)
+                  if is_dominant(g, w)]
+            assert weyl_dims(g, ws) == [
+                sum(full_weight_support(g, w).values()) for w in ws], g
+            assert weyl_dims(g, ws[::-1]) == weyl_dims(g, ws)[::-1]
+    assert weyl_dims(Sp(2), []) == []
+    with pytest.raises(NotDominant):
+        weyl_dims(Sp(2), [(1, 0), (0, 1)])
 
 
 def test_weight_multiplicities_known_values():

@@ -1,3 +1,4 @@
+import io
 import json
 import re
 import subprocess
@@ -6,7 +7,7 @@ import sys
 import pytest
 
 from branchkit.branching import PAIR_IDS
-from branchkit.cli import main
+from branchkit.cli import EXIT_BROKEN_PIPE, main
 
 
 def run_cli(capsys, *argv):
@@ -371,3 +372,36 @@ def test_selftest_fails_on_a_mismatch(capsys, monkeypatch):
     lines = out.splitlines()
     assert "sp-in-gl: 32 cases, 1 mismatches" in lines
     assert lines[-1] == "selftest: FAIL"
+
+
+class _ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_stdout_exits_four_and_still_writes_the_cache(
+        tmp_path, monkeypatch, capsys):
+    cache = tmp_path / "lr-cache.txt"
+    monkeypatch.setenv("BRANCHKIT_CACHE", str(cache))
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    code = main(["lr", "--outer", "[3,2,1]", "--left", "[2,1]",
+                 "--right", "[2,1]"])
+    assert code == EXIT_BROKEN_PIPE == 4
+    assert capsys.readouterr().err == ""
+    assert "3.2.1|2.1|" in cache.read_text()
+
+
+def test_verify_into_a_pipe_closed_after_one_line_prints_no_traceback():
+    # unbuffered, so each report line is its own write and the padding
+    # probe's line comes after the reader has gone
+    proc = subprocess.Popen(
+        [sys.executable, "-u", "-m", "branchkit", "verify", "--pair", "all",
+         "--max-size", "2"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == EXIT_BROKEN_PIPE
+    assert first.startswith("gl-diag: ")
+    assert "Traceback" not in err

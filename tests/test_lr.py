@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from branchkit import littlewood_restriction, lr_coeff, skew_expand, tensor_expand
 from branchkit.lr import (
     _SKEW_CACHE,
+    _skew_fillings,
     clear_cache,
     dump_cache_lines,
     even_column_sum,
@@ -17,7 +18,7 @@ from branchkit.lr import (
 )
 from branchkit.partitions import conjugate, contains, partitions_of, partitions_up_to
 
-from bruteforce import naive_lr
+from bruteforce import lr_fillings_by_content, naive_lr
 
 small_partitions = st.lists(
     st.integers(min_value=1, max_value=4), max_size=4
@@ -58,6 +59,39 @@ def test_skew_expand_matches_naive():
             total = sum(outer) - sum(inner)
             for nu in partitions_of(total):
                 assert exp.get(nu, 0) == naive_lr(outer, inner, nu)
+
+
+def test_skew_fillings_match_the_row_by_row_reference():
+    # the reference fills whole semistandard rows and tests the lattice
+    # condition only on the finished word: no lattice pruning, no shared
+    # kernel
+    for outer in partitions_up_to(9):
+        for inner in partitions_up_to(sum(outer)):
+            if contains(outer, inner):
+                assert _skew_fillings(outer, inner) == \
+                    lr_fillings_by_content(outer, inner), (outer, inner)
+
+
+def test_skew_expand_key_order_is_the_search_order():
+    # contents appear in the order the search first reaches them
+    expansion = skew_expand((6, 5, 4, 3, 2, 1), (3, 2, 1))
+    assert list(expansion.items()) == [
+        ((6, 5, 4), 1), ((6, 5, 3, 1), 3), ((6, 4, 4, 1), 3),
+        ((6, 5, 2, 2), 2), ((6, 5, 2, 1, 1), 3), ((6, 4, 3, 2), 6),
+        ((6, 4, 3, 1, 1), 6), ((6, 4, 2, 2, 1), 6), ((5, 5, 4, 1), 3),
+        ((5, 5, 3, 2), 6), ((5, 5, 3, 1, 1), 6), ((5, 5, 2, 2, 1), 6),
+        ((6, 3, 3, 2, 1), 6), ((5, 4, 4, 2), 6), ((5, 4, 4, 1, 1), 6),
+        ((5, 4, 3, 2, 1), 16), ((6, 5, 1, 1, 1, 1), 1),
+        ((6, 4, 2, 1, 1, 1), 3), ((5, 5, 2, 1, 1, 1), 3), ((6, 3, 3, 3), 2),
+        ((6, 3, 3, 1, 1, 1), 2), ((6, 3, 2, 2, 2), 3),
+        ((6, 3, 2, 2, 1, 1), 3), ((5, 4, 3, 3), 6), ((5, 4, 3, 1, 1, 1), 6),
+        ((5, 4, 2, 2, 2), 6), ((5, 4, 2, 2, 1, 1), 6), ((5, 3, 3, 3, 1), 6),
+        ((5, 3, 3, 2, 2), 6), ((5, 3, 3, 2, 1, 1), 6), ((4, 4, 4, 2, 1), 6),
+        ((4, 4, 3, 3, 1), 6), ((4, 4, 3, 2, 2), 6), ((4, 4, 3, 2, 1, 1), 6),
+        ((6, 2, 2, 2, 2, 1), 1), ((5, 3, 2, 2, 2, 1), 3), ((4, 4, 4, 3), 2),
+        ((4, 4, 4, 1, 1, 1), 2), ((4, 4, 2, 2, 2, 1), 2),
+        ((4, 3, 3, 3, 2), 3), ((4, 3, 3, 3, 1, 1), 3),
+        ((4, 3, 3, 2, 2, 1), 3), ((3, 3, 3, 3, 2, 1), 1)]
 
 
 def test_tensor_expand_examples():
