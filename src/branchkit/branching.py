@@ -25,6 +25,9 @@ choice here (formula, stable range, decomposition caps) reads the pair's
 rule, never its id.  Each pair's stable-range inequalities are recorded
 once, in _hypotheses, as the least rank at which each holds and its
 failure text; range_violations and stable_rank both read those records.
+Each label's rank at the pair's ranks (n+m for a sum rule's big label,
+big_scale·n otherwise) is worked out once, in label_ranks, which query
+and the CLI both read.
 
 For the diagonal pairs a query carries the two tensor factors as ``small``
 and the target constituent as ``big``; for all other pairs ``big`` is the
@@ -114,14 +117,11 @@ class BranchingQuery:
     small: tuple[RepLabel, ...]
 
     def validate_labels(self) -> None:
-        expected = rule_of(self.pair).small_count
         self.big.validate()
         for s in self.small:
             s.validate()
-        if len(self.small) != expected:
-            raise InvalidLabel(
-                f"{self.pair} expects {expected} small label(s), got {len(self.small)}"
-            )
+        _check_small_count(self.pair, rule_of(self.pair).small_count,
+                           len(self.small))
 
     @property
     def ranks(self) -> tuple[int, ...]:
@@ -131,22 +131,37 @@ class BranchingQuery:
         return tuple(s.rank for s in self.small)
 
 
-def query(pair: str, ranks, big, small) -> BranchingQuery:
-    """Build a BranchingQuery from raw label data.
+def _check_small_count(pair: str, expected: int, got: int) -> None:
+    if got != expected:
+        raise InvalidLabel(
+            f"{pair} expects {expected} small label(s), got {got}")
 
-    ranks: (n,) or (n, m) per pair.  big/small: partitions or GLLabels in
-    the layout the pair expects.
-    """
+
+def label_ranks(pair: str, ranks) -> tuple[int, tuple[int, ...]]:
+    """The rank of the big label and of each small label at the pair's
+    ranks (n,) or (n, m): n+m and (n, m) for a sum rule, big_scale·n and
+    n for each small label otherwise."""
     rule = rule_for_ranks(pair, ranks)
     n = ranks[0]
     if rule.kind == "sum":
         m = ranks[1]
-        big_rank, small_ranks = n + m, (n, m)
-    else:
-        big_rank, small_ranks = rule.big_scale * n, (n,) * rule.small_count
+        return n + m, (n, m)
+    return rule.big_scale * n, (n,) * rule.small_count
+
+
+def query(pair: str, ranks, big, small) -> BranchingQuery:
+    """Build a BranchingQuery from raw label data.
+
+    ranks: (n,) or (n, m) per pair.  big/small: partitions or GLLabels in
+    the layout the pair expects; InvalidLabel for the wrong number of
+    small labels.
+    """
+    big_rank, small_ranks = label_ranks(pair, ranks)
+    _check_small_count(pair, len(small_ranks), len(small))
+    rule = rule_of(pair)
     return BranchingQuery(
         pair, RepLabel(rule.big, big_rank, big),
-        tuple(RepLabel(rule.small, r, small[i]) for i, r in enumerate(small_ranks)))
+        tuple(RepLabel(rule.small, r, s) for r, s in zip(small_ranks, small)))
 
 
 # ---------------------------------------------------------------------------
@@ -484,8 +499,9 @@ def bilinear_multiplicity(q: BranchingQuery) -> int:
 def branching_multiplicity(q: BranchingQuery, unsafe: bool = False) -> int:
     """Dispatch on the pair's rule.  With ``unsafe`` the formula is evaluated
     even when the stable-range hypotheses fail (labels are still checked)."""
-    q.validate_labels()
-    if not unsafe:
+    if unsafe:
+        q.validate_labels()
+    else:
         validate_stable_range(q)
     return _formula_value(q)
 

@@ -31,9 +31,11 @@ from . import lr
 from .branching import (
     PAIR_IDS,
     RULE_ID,
+    RepLabel,
     branch_decompose,
     branching_multiplicity,
     decompose_range_violations,
+    label_ranks,
     query,
     rule_of,
     stable_range_violations,
@@ -168,6 +170,13 @@ def cmd_decompose(args) -> int:
     record.update(echo)
     if violations and not args.unsafe:
         raise StableRangeViolation(RULE_ID[pair], violations)
+    # --unsafe lifts the stable range, not the labels' own constraints
+    big_rank, small_ranks = label_ranks(pair, ranks)
+    if rule.kind == "diag":
+        for rank, label in zip(small_ranks, big):
+            RepLabel(rule.small, rank, label).validate()
+    else:
+        RepLabel(rule.big, big_rank, big).validate()
     dec = branch_decompose(pair, big, ranks, bound=args.bound)
     if rule.kind == "sum":  # each key is the pair (μ, ν)
         texts = {"|".join(map(_format_label, k)): m for k, m in dec.items()}

@@ -29,11 +29,15 @@ multiplicity raises NotACharacter, and every decomposition is balanced
 against Weyl dimensions, so a dropped or spurious constituent cannot pass
 silently.
 
-Orthogonal labels are read through SO characters.  That is faithful for
-ℓ(λ) < n/2 (the safe regime).  Self-associate labels at ℓ(λ) = n/2 appear
-inside decompositions as a +/- pair of SO weights with equal multiplicity;
-the translation folds the pair into the single O label after checking that
-equality, but query entry points refuse such labels outright.
+Each entry point reads every label it is given through its family's
+weight (_FAMILIES) before it builds any group: the weight checks that the
+label is a partition (InvalidLabel), then the family's bound at the rank
+(OutOfSafeRegime): ℓ(λ+)+ℓ(λ-) <= n for GL, ℓ(λ) <= n for Sp and the safe
+regime ℓ(λ) < n/2 for O, in which O labels are faithfully read through SO
+characters.  Self-associate labels at ℓ(λ) = n/2 appear inside
+decompositions as a +/- pair of SO weights with equal multiplicity; the
+translation folds the pair into the single O label after checking that
+equality, but no entry point takes such a label.
 """
 
 from __future__ import annotations
@@ -160,13 +164,11 @@ def _reading_group(family: str, make: Callable[[int], GroupSpec], least: int):
     return group
 
 
-_so_group = _reading_group("O", SO, 2)
-
-
 class _Family(NamedTuple):
     """How the oracle handles one label family: the connected group at
-    rank n, the label's highest weight, and a dominant weight's label (the
-    O family folds self-associate pairs in _translate_so_map)."""
+    rank n, the label's highest weight at rank n (the oracle's one label
+    check), and a dominant weight's label (the O family folds
+    self-associate pairs in _translate_so_map)."""
 
     group: Callable[[int], GroupSpec]
     weight: Callable
@@ -175,22 +177,9 @@ class _Family(NamedTuple):
 
 _FAMILIES = {
     "GL": _Family(_reading_group("GL", GL, 1), gl_weight, weight_to_gl_label),
-    "O": _Family(_so_group, so_weight, _strip),
+    "O": _Family(_reading_group("O", SO, 2), so_weight, _strip),
     "Sp": _Family(_reading_group("Sp", Sp, 1), sp_weight, _strip),
 }
-
-
-def _o_dim(lam: Partition, n: int) -> int:
-    """dim E^λ_n for ℓ(λ) <= n/2 (doubles the SO dimension at the
-    self-associate boundary)."""
-    rank = torus_rank("O", n)
-    if 2 * len(lam) > n:
-        raise OutOfSafeRegime(f"O label {lam} beyond ℓ(λ) <= n/2 at n={n}")
-    w = tuple(lam) + (0,) * (rank - len(lam))
-    d = dim_of_weight(_so_group(n), w)
-    if n % 2 == 0 and len(lam) == rank:
-        d *= 2
-    return d
 
 
 def dim_irrep(label: RepLabel) -> int:
@@ -198,11 +187,8 @@ def dim_irrep(label: RepLabel) -> int:
     family = _FAMILIES.get(label.family)
     if family is None:
         raise ValueError(f"unknown family {label.family!r}")
-    if label.family == "O" and 2 * len(label.data) >= label.rank:
-        raise OutOfSafeRegime(
-            f"O label {label.data} at n={label.rank}: need ℓ(λ) < n/2")
-    group = family.group(label.rank)
-    return dim_of_weight(group, family.weight(label.data, label.rank))
+    weight = family.weight(label.data, label.rank)
+    return dim_of_weight(family.group(label.rank), weight)
 
 
 # ---------------------------------------------------------------------------
@@ -454,13 +440,8 @@ def oracle_decomposition(pair: str, ranks: tuple, big) -> MappingProxyType:
 def _sum_decomposition(rule: PairRule, ranks: tuple, lam) -> dict:
     n, m = ranks[:2]
     family = _FAMILIES[rule.big]
-    g_big = family.group(n + m)
-    if rule.big == "GL":  # λ is checked before, O and Sp after, the factors
-        wbig = family.weight(lam, n + m)
-        ga, gb = family.group(n), family.group(m)
-    else:
-        ga, gb = family.group(n), family.group(m)
-        wbig = family.weight(lam, n + m)
+    wbig = family.weight(lam, n + m)
+    g_big, ga, gb = family.group(n + m), family.group(n), family.group(m)
 
     def system(key):
         fr_u = weight_multiplicities(ga, key[0])
@@ -496,8 +477,8 @@ def _oracle_decomposition(pair: str, ranks: tuple, big) -> dict:
     small = _FAMILIES[rule.small]
     if rule.kind == "diag":
         mu, nu = big
-        g = small.group(n)
-        raw = decompose_tensor(g, small.weight(mu, n), small.weight(nu, n))
+        w1, w2 = small.weight(mu, n), small.weight(nu, n)
+        raw = decompose_tensor(small.group(n), w1, w2)
         return _labels(rule.small, raw, n)
     return _restriction_decomposition(rule, n, big)
 
@@ -506,12 +487,8 @@ def _restriction_decomposition(rule: PairRule, n: int, big) -> dict:
     """Restriction along the embedding: polarization or bilinear form."""
     big_n = rule.big_scale * n
     family = _FAMILIES[rule.big]
-    g_big = family.group(big_n)
-    if rule.big == "O" and 2 * len(big) >= big_n:
-        raise OutOfSafeRegime(
-            f"O label {big} needs ℓ(λ) < n for the O_2n oracle")
     wbig = family.weight(big, big_n)
-    g = _FAMILIES[rule.small].group(n)
+    g_big, g = family.group(big_n), _FAMILIES[rule.small].group(n)
     rem = _restriction_remainder(rule.kind, g_big, wbig, g)
     raw = greedy_decompose(rem, lambda w: weight_multiplicities(g, w))
     mass = sum(map(mul, raw.values(), weyl_dims(g, raw)))
@@ -523,20 +500,16 @@ def _restriction_decomposition(rule: PairRule, n: int, big) -> dict:
 def oracle_multiplicity(q: BranchingQuery) -> int:
     """Multiplicity by the character pipeline alone (no LR machinery).
 
-    Orthogonal labels must sit in the safe regime; ranks are taken from the
-    query's labels.
+    Every label is read through its family's weight, as the pipeline
+    reads the labels it decomposes; ranks are taken from the query's labels.
     """
     kind = rule_of(q.pair).kind
     if kind == "diag":
         given, looked_up = tuple(s.data for s in q.small), (q.big,)
     else:
         given, looked_up = q.big.data, q.small
-    # check the labels looked up in the decomposition and a sum pair's big
-    # label; the other pipelines check the labels they read themselves
-    for lab in looked_up + ((q.big,) if kind == "sum" else ()):
-        if lab.family == "O" and 2 * len(lab.data) >= lab.rank:
-            raise OutOfSafeRegime(
-                f"O label {lab.data} at n={lab.rank}: need ℓ(λ) < n/2")
+    for lab in looked_up:
+        _FAMILIES[lab.family].weight(lab.data, lab.rank)
     key = tuple(lab.data for lab in looked_up)
     dec = oracle_decomposition(q.pair, q.ranks, given)
     return dec.get(key if kind == "sum" else key[0], 0)
@@ -555,8 +528,6 @@ def _sym_dim(space_dim: int, degree: int) -> int:
 
 
 def _gl_dim(lam: Partition, n: int) -> int:
-    if len(lam) > n:
-        return 0
     return dim_of_weight(GL(n), tuple(lam) + (0,) * (n - len(lam)))
 
 
@@ -594,7 +565,7 @@ def duality_dim_check(kind: str, d: int, n: int | None = None,
         rhs = 0
         for t in range(d % 2, d + 1, 2):
             for lam in partitions_of(t, max_length=k):
-                rhs += (_o_dim(lam, n) * _gl_dim(lam, k)
+                rhs += (dim_irrep(RepLabel("O", n, lam)) * _gl_dim(lam, k)
                         * _sym_dim(k * (k + 1) // 2, (d - t) // 2))
         return lhs == rhs
     if kind == "sp_duality":
@@ -605,8 +576,7 @@ def duality_dim_check(kind: str, d: int, n: int | None = None,
         rhs = 0
         for t in range(d % 2, d + 1, 2):
             for lam in partitions_of(t, max_length=min(n, k)):
-                rhs += (dim_of_weight(Sp(n), sp_weight(lam, n))
-                        * _gl_dim(lam, k)
+                rhs += (dim_irrep(RepLabel("Sp", n, lam)) * _gl_dim(lam, k)
                         * _sym_dim(k * (k - 1) // 2, (d - t) // 2))
         return lhs == rhs
     raise ValueError(f"unknown duality kind {kind!r}")

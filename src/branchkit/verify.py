@@ -256,11 +256,7 @@ def run_lr_spot_checks(count: int = 60, seed: int = 1) -> GridReport:
     for _ in range(count):
         mu = rng.choice(pool)
         nu = rng.choice(pool)
-        outer_pool = [p for p in partitions_up_to(sum(mu) + sum(nu))
-                      if sum(p) == sum(mu) + sum(nu)]
-        if not outer_pool:
-            continue
-        lam = rng.choice(outer_pool)
+        lam = rng.choice(list(partitions_of(sum(mu) + sum(nu))))
         report.cases += 1
         a = lr_count_direct(lam, mu, nu)
         b = lr_count_direct(lam, nu, mu)

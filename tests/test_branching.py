@@ -498,3 +498,25 @@ def test_validate_labels_refuses_a_label_that_is_no_partition():
     q = query("gl-sum", (1, 1), L(E, (-2, -2)), [L(E), L(E)])
     with pytest.raises(InvalidLabel, match="is not a partition"):
         q.validate_labels()
+
+
+@pytest.mark.parametrize("pair,ranks,big,small,expected", [
+    ("o-diag", (4,), (1,), [(1,)], r"o-diag expects 2 small label\(s\), got 1"),
+    ("o-in-gl", (6,), GLLabel((2,), ()), [(), (5,)],
+     r"o-in-gl expects 1 small label\(s\), got 2"),
+])
+def test_query_with_the_wrong_number_of_small_labels_is_an_invalid_label(
+        pair, ranks, big, small, expected):
+    with pytest.raises(InvalidLabel, match=expected):
+        query(pair, ranks, big, small)
+
+
+@pytest.mark.parametrize("unsafe", [False, True])
+def test_branching_multiplicity_validates_the_labels_once(monkeypatch, unsafe):
+    calls = []
+    validate = RepLabel.validate
+    monkeypatch.setattr(RepLabel, "validate",
+                        lambda self: (calls.append(self), validate(self))[1])
+    q = query("o-in-gl", (6,), GLLabel((2,), ()), [(2,)])
+    assert branching_multiplicity(q, unsafe=unsafe) == 1
+    assert calls == [q.big, *q.small]

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from branchkit.branching import PAIR_IDS
+from branchkit.branching import PAIR_IDS, PAIRS
 from branchkit.cli import EXIT_BROKEN_PIPE, main
 
 
@@ -405,3 +405,26 @@ def test_verify_into_a_pipe_closed_after_one_line_prints_no_traceback():
     assert proc.wait(timeout=60) == EXIT_BROKEN_PIPE
     assert first.startswith("gl-diag: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("pair", PAIR_IDS)
+def test_unsafe_still_refuses_a_label_invalid_for_its_group(capsys, pair):
+    # [1,1,1] has too many parts for every group at n = m = 1; --unsafe
+    # lifts the stable range, not the label's own constraints
+    kind = PAIRS[pair].kind
+    ranks = ["-n", "1", "-m", "1"] if kind == "sum" else ["-n", "1"]
+    bad, empty = "[1,1,1]", "[]"
+    if kind == "diag":
+        branch = ["--big", empty, "--small", bad, empty]
+        decompose = ["--mu", bad, "--nu", empty]
+    else:
+        small = [empty] * PAIRS[pair].small_count
+        branch = ["--big", bad, "--small", *small]
+        decompose = ["--big", bad]
+    for argv in (["branch", *branch], ["decompose", *decompose]):
+        args = [argv[0], "--pair", pair, *ranks, *argv[1:]]
+        code, out, err = run_cli(capsys, *args)
+        assert code == 2 and out == "", args
+        code, out, err = run_cli(capsys, *args, "--unsafe")
+        assert code == 1 and out == "", args
+        assert err.startswith("error: "), args

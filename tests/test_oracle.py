@@ -36,7 +36,7 @@ from branchkit.oracle import (
     sp_weight,
     weight_to_gl_label,
 )
-from branchkit.pairs import rule_of
+from branchkit.pairs import PAIR_IDS, rule_of
 from branchkit.partitions import GLLabel, partitions_up_to
 
 E = ()
@@ -503,3 +503,52 @@ def test_embedding_remainder_is_the_dominant_part_of_the_restriction(case):
     restricted = restrict_character(full_weight_support(g_big, w), pair, (n,))
     expected = {d: c for d, c in restricted.items() if is_dominant(g, d)}
     assert _restriction_remainder(rule_of(pair).kind, g_big, w, g) == expected
+
+
+@pytest.mark.parametrize("pair", PAIR_IDS)
+def test_a_looked_up_label_that_is_no_partition_is_invalid(pair):
+    # the label looked up in the decomposition is read through its
+    # family's weight, as the labels the pipeline decomposes are
+    rule = rule_of(pair)
+    ranks = (6, 6) if rule.kind == "sum" else (6,)
+
+    def label(family, parts):
+        return L(parts) if family == "GL" else parts
+
+    if rule.kind == "diag":
+        q = query(pair, ranks, label(rule.big, (1, 2)),
+                  [label(rule.small, E)] * 2)
+    else:
+        q = query(pair, ranks, label(rule.big, E),
+                  [label(rule.small, (1, 2))]
+                  + [label(rule.small, E)] * (rule.small_count - 1))
+    with pytest.raises(InvalidLabel, match="is not a partition"):
+        oracle_multiplicity(q)
+
+
+def test_a_looked_up_label_too_long_for_its_rank_is_out_of_safe_regime():
+    with pytest.raises(OutOfSafeRegime):
+        oracle_multiplicity(query("gl-in-sp", (2,), E, [L((1,), (1, 1))]))
+    with pytest.raises(OutOfSafeRegime):
+        oracle_multiplicity(query("sp-diag", (1,), (1, 1), [E, E]))
+
+
+@pytest.mark.parametrize("pair,ranks,big", [
+    ("o-sum", (0, 4), (1, 2)),
+    ("gl-in-o", (0,), (1, 2)),
+    ("sp-diag", (0,), ((1, 2), E)),
+    ("o-in-gl", (0,), L((1, 2))),
+])
+def test_no_partition_below_the_least_rank_is_invalid(pair, ranks, big):
+    # the label is read before any group is built
+    with pytest.raises(InvalidLabel, match="is not a partition"):
+        oracle_decomposition(pair, ranks, big)
+
+
+@pytest.mark.parametrize("label", [
+    RepLabel("O", 1, (1, 2)), RepLabel("Sp", 0, (1, 2)),
+    RepLabel("GL", 0, L((1, 2))),
+])
+def test_dim_irrep_of_no_partition_below_the_least_rank_is_invalid(label):
+    with pytest.raises(InvalidLabel, match="is not a partition"):
+        dim_irrep(label)

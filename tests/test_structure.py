@@ -195,6 +195,41 @@ def test_products_read_one_skew_expansion():
     assert not reached & {"lr_coeff", "lr_count_direct"}, reached
 
 
+def raisers_of(source: str, error: str) -> set[str]:
+    """The module-level functions that raise ``error``, in their own body
+    or in a function nested in it."""
+    found = set()
+    for fn in ast.parse(source).body:
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        for node in ast.walk(fn):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id == error:
+                found.add(fn.name)
+    return found
+
+
+def test_the_check_sees_raisers():
+    source = ("def f():\n    raise E('x')\n"
+              "def g():\n    def inner():\n        raise E\n    return inner\n"
+              "def h():\n    raise F('y')\n"
+              "def k():\n    try:\n        pass\n    except E:\n        raise\n")
+    assert raisers_of(source, "E") == {"f", "g"}
+
+
+def test_the_oracle_checks_labels_only_through_the_family_weights():
+    """Each label the oracle reads goes through its family's weight, which
+    checks the label's length or safe-regime bound at its rank: only the
+    weights, the least-rank guard on the reading group and the direct
+    sum's check on its output factors raise OutOfSafeRegime."""
+    source = (SRC / "oracle.py").read_text(encoding="utf-8")
+    assert raisers_of(source, "OutOfSafeRegime") == {
+        "gl_weight", "sp_weight", "so_weight", "_reading_group",
+        "_sum_decomposition"}
+
+
 # the package's memos; perfbench's workloads empty exactly these
 MEMOS = {"lr._SKEW_CACHE", "characters._CHAR_CACHE", "characters._FREUD_CACHE",
          "characters._SUPPORT_CACHE", "oracle._ORACLE_CACHE"}
