@@ -25,9 +25,8 @@ choice here (formula, stable range, decomposition caps) reads the pair's
 rule, never its id.  Each pair's stable-range inequalities are recorded
 once, in _hypotheses, as the least rank at which each holds and its
 failure text; range_violations and stable_rank both read those records.
-Each label's rank at the pair's ranks (n+m for a sum rule's big label,
-big_scale·n otherwise) is worked out once, in label_ranks, which query
-and the CLI both read.
+Each label's rank at the pair's ranks is read from pairs.label_ranks,
+the one place that works it out.
 
 For the diagonal pairs a query carries the two tensor factors as ``small``
 and the target constituent as ``big``; for all other pairs ``big`` is the
@@ -55,7 +54,7 @@ from .lr import (
     tensor_expand,
 )
 # PAIR_IDS and PairRule are imported for callers of this module
-from .pairs import (PAIR_IDS, PAIRS, RULE_ID, PairRule, rule_for_ranks,
+from .pairs import (PAIR_IDS, PAIRS, PairRule, label_ranks, rule_for_ranks,
                     rule_of, torus_rank)
 from .partitions import (
     GLLabel,
@@ -135,18 +134,6 @@ def _check_small_count(pair: str, expected: int, got: int) -> None:
     if got != expected:
         raise InvalidLabel(
             f"{pair} expects {expected} small label(s), got {got}")
-
-
-def label_ranks(pair: str, ranks) -> tuple[int, tuple[int, ...]]:
-    """The rank of the big label and of each small label at the pair's
-    ranks (n,) or (n, m): n+m and (n, m) for a sum rule, big_scale·n and
-    n for each small label otherwise."""
-    rule = rule_for_ranks(pair, ranks)
-    n = ranks[0]
-    if rule.kind == "sum":
-        m = ranks[1]
-        return n + m, (n, m)
-    return rule.big_scale * n, (n,) * rule.small_count
 
 
 def query(pair: str, ranks, big, small) -> BranchingQuery:
@@ -279,7 +266,7 @@ def validate_stable_range(q: BranchingQuery) -> BranchingQuery:
     q.validate_labels()
     violations = stable_range_violations(q)
     if violations:
-        raise StableRangeViolation(RULE_ID[q.pair], violations)
+        raise StableRangeViolation(rule_of(q.pair).rule_id, violations)
     return q
 
 

@@ -57,7 +57,7 @@ from operator import add, ge, mul, sub
 from types import MappingProxyType
 
 from .errors import ExactnessError, NotACharacter, NotDominant
-from .pairs import rule_of, torus_rank
+from .pairs import label_ranks, rule_of, torus_rank
 from .partitions import partitions_of
 
 Weight = tuple[int, ...]
@@ -622,19 +622,19 @@ def restrict_character(chi: LaurentPoly, pair: str, ranks) -> LaurentPoly:
     rule = rule_of(pair)
     if rule.kind == "polarization":
         return dict(chi)  # identical torus, re-read as GL_n
+    big_n, small_ranks = label_ranks(pair, ranks)
     if rule.kind == "diag":
-        k = torus_rank(rule.small, ranks[0])
+        k = torus_rank(rule.small, small_ranks[0])
         size, torus = 2 * k, "product"
         keys = [tuple(map(add, e[:k], e[k:])) for e in chi]
     elif rule.kind == "sum":
-        n, m = ranks
-        a, b = torus_rank(rule.small, n), torus_rank(rule.small, m)
-        size, torus = torus_rank(rule.big, n + m), "big"
+        a, b = (torus_rank(rule.small, r) for r in small_ranks)
+        size, torus = torus_rank(rule.big, big_n), "big"
         # first factor's coordinates, then the second's; a leftover
         # coordinate (odd-odd orthogonal split) is evaluated at 1
         keys = [e[:a + b] for e in chi]
     else:  # bilinear: GL_big ⊃ O_n or Sp_2n, each x_i paired with 1/x_i
-        size, torus = rule.big_scale * ranks[0], "big"
+        size, torus = big_n, "big"
         k = size // 2
         keys = [tuple(map(sub, e[:k], e[:size - k - 1:-1])) for e in chi]
     if not {size}.issuperset(map(len, chi)):

@@ -30,12 +30,10 @@ import time
 from . import lr
 from .branching import (
     PAIR_IDS,
-    RULE_ID,
     RepLabel,
     branch_decompose,
     branching_multiplicity,
     decompose_range_violations,
-    label_ranks,
     query,
     rule_of,
     stable_range_violations,
@@ -47,6 +45,7 @@ from .errors import (
     StableRangeViolation,
     UnknownPair,
 )
+from .pairs import label_ranks
 from .partitions import (
     GLLabel,
     format_gl_label,
@@ -131,7 +130,7 @@ def cmd_branch(args) -> int:
         "small": [_format_label(s.data) for s in q.small],
     }
     if violations and not args.unsafe:
-        raise StableRangeViolation(RULE_ID[q.pair], violations)
+        raise StableRangeViolation(rule_of(q.pair).rule_id, violations)
     record["result"] = branching_multiplicity(q, unsafe=True)
     record["stable_range"] = not violations
     record["elapsed_ms"] = int((time.perf_counter() - t0) * 1000)
@@ -162,16 +161,13 @@ def cmd_decompose(args) -> int:
             raise ParseError(f"{pair} decomposition needs --big")
         big = _parse_label(args.big, rule.big)
         echo = {"big": _format_label(big)}
-    for rank in ranks:  # as branch does, through RepLabel.validate
-        if rank < 0:
-            raise InvalidLabel(f"negative rank {rank}")
+    big_rank, small_ranks = label_ranks(pair, ranks)
     violations = decompose_range_violations(pair, big, ranks)
     record = {"pair": pair, "ranks": list(ranks)}
     record.update(echo)
     if violations and not args.unsafe:
-        raise StableRangeViolation(RULE_ID[pair], violations)
+        raise StableRangeViolation(rule.rule_id, violations)
     # --unsafe lifts the stable range, not the labels' own constraints
-    big_rank, small_ranks = label_ranks(pair, ranks)
     if rule.kind == "diag":
         for rank, label in zip(small_ranks, big):
             RepLabel(rule.small, rank, label).validate()

@@ -29,10 +29,11 @@ multiplicity raises NotACharacter, and every decomposition is balanced
 against Weyl dimensions, so a dropped or spurious constituent cannot pass
 silently.
 
-Each entry point reads every label it is given through its family's
-weight (_FAMILIES) before it builds any group: the weight checks that the
-label is a partition (InvalidLabel), then the family's bound at the rank
-(OutOfSafeRegime): ℓ(λ+)+ℓ(λ-) <= n for GL, ℓ(λ) <= n for Sp and the safe
+Each pipeline reads its labels' ranks from pairs.label_ranks.  Each entry
+point reads every label it is given through its family's weight in
+_FAMILIES (InvalidLabel for an unknown family) before it builds any group:
+the weight checks that the label is a partition (InvalidLabel), then the
+family's bound at the rank (OutOfSafeRegime): ℓ(λ+)+ℓ(λ-) <= n for GL, ℓ(λ) <= n for Sp and the safe
 regime ℓ(λ) < n/2 for O, in which O labels are faithfully read through SO
 characters.  Self-associate labels at ℓ(λ) = n/2 appear inside
 decompositions as a +/- pair of SO weights with equal multiplicity; the
@@ -71,11 +72,12 @@ from .characters import (decompose_character, full_weight_support,
                          restrict_character)
 from .errors import (
     ExactnessError,
+    InvalidLabel,
     NotACharacter,
     OutOfSafeRegime,
     StableRangeViolation,
 )
-from .pairs import PairRule, rule_for_ranks, rule_of, torus_rank
+from .pairs import PairRule, label_ranks, rule_for_ranks, rule_of, torus_rank
 from .partitions import (GLLabel, Partition, check_partitions, double_columns,
                          double_rows, partitions_of)
 
@@ -123,9 +125,6 @@ def _translate_so_map(raw: dict[Weight, int], n: int) -> dict[Partition, int]:
     """SO dominant weights -> O labels, folding self-associate +/- pairs."""
     out: dict[Partition, int] = {}
     for w, m in raw.items():
-        if not w:
-            out[()] = m
-            continue
         if w[-1] < 0:
             partner = w[:-1] + (-w[-1],)
             if raw.get(partner, 0) != m:
@@ -182,11 +181,16 @@ _FAMILIES = {
 }
 
 
+def _family(name: str) -> _Family:
+    """The family's entry in _FAMILIES; InvalidLabel for any other name."""
+    if name not in _FAMILIES:
+        raise InvalidLabel(f"unknown family {name!r}")
+    return _FAMILIES[name]
+
+
 def dim_irrep(label: RepLabel) -> int:
     """Dimension by the Weyl product formula on the connected group."""
-    family = _FAMILIES.get(label.family)
-    if family is None:
-        raise ValueError(f"unknown family {label.family!r}")
+    family = _family(label.family)
     weight = family.weight(label.data, label.rank)
     return dim_of_weight(family.group(label.rank), weight)
 
@@ -437,11 +441,11 @@ def oracle_decomposition(pair: str, ranks: tuple, big) -> MappingProxyType:
     return out
 
 
-def _sum_decomposition(rule: PairRule, ranks: tuple, lam) -> dict:
-    n, m = ranks[:2]
+def _sum_decomposition(rule: PairRule, big_n: int, ranks: tuple, lam) -> dict:
+    n, m = ranks
     family = _FAMILIES[rule.big]
-    wbig = family.weight(lam, n + m)
-    g_big, ga, gb = family.group(n + m), family.group(n), family.group(m)
+    wbig = family.weight(lam, big_n)
+    g_big, ga, gb = family.group(big_n), family.group(n), family.group(m)
 
     def system(key):
         fr_u = weight_multiplicities(ga, key[0])
@@ -459,9 +463,6 @@ def _sum_decomposition(rule: PairRule, ranks: tuple, lam) -> dict:
         raise ExactnessError("direct-sum mass check failed")
     if rule.big == "O":
         for u, v in raw:
-            if (u and u[-1] < 0) or (v and v[-1] < 0):
-                raise OutOfSafeRegime(
-                    f"boundary factor label in o-sum output: {u},{v}")
             if 2 * len(_strip(u)) >= n or 2 * len(_strip(v)) >= m:
                 raise OutOfSafeRegime(
                     f"factor label out of safe regime in o-sum: {u},{v}")
@@ -471,21 +472,22 @@ def _sum_decomposition(rule: PairRule, ranks: tuple, lam) -> dict:
 
 def _oracle_decomposition(pair: str, ranks: tuple, big) -> dict:
     rule = rule_of(pair)
+    big_n, small_ranks = label_ranks(pair, ranks)
     if rule.kind == "sum":
-        return _sum_decomposition(rule, ranks, big)
-    n = ranks[0]
+        return _sum_decomposition(rule, big_n, small_ranks, big)
+    n = small_ranks[0]
     small = _FAMILIES[rule.small]
     if rule.kind == "diag":
         mu, nu = big
         w1, w2 = small.weight(mu, n), small.weight(nu, n)
         raw = decompose_tensor(small.group(n), w1, w2)
         return _labels(rule.small, raw, n)
-    return _restriction_decomposition(rule, n, big)
+    return _restriction_decomposition(rule, big_n, n, big)
 
 
-def _restriction_decomposition(rule: PairRule, n: int, big) -> dict:
+def _restriction_decomposition(rule: PairRule, big_n: int, n: int,
+                               big) -> dict:
     """Restriction along the embedding: polarization or bilinear form."""
-    big_n = rule.big_scale * n
     family = _FAMILIES[rule.big]
     wbig = family.weight(big, big_n)
     g_big, g = family.group(big_n), _FAMILIES[rule.small].group(n)
@@ -501,15 +503,17 @@ def oracle_multiplicity(q: BranchingQuery) -> int:
     """Multiplicity by the character pipeline alone (no LR machinery).
 
     Every label is read through its family's weight, as the pipeline
-    reads the labels it decomposes; ranks are taken from the query's labels.
+    reads the labels it decomposes, after the ranks taken from the query's
+    labels are read through pairs.label_ranks.
     """
     kind = rule_of(q.pair).kind
+    label_ranks(q.pair, q.ranks)
     if kind == "diag":
         given, looked_up = tuple(s.data for s in q.small), (q.big,)
     else:
         given, looked_up = q.big.data, q.small
     for lab in looked_up:
-        _FAMILIES[lab.family].weight(lab.data, lab.rank)
+        _family(lab.family).weight(lab.data, lab.rank)
     key = tuple(lab.data for lab in looked_up)
     dec = oracle_decomposition(q.pair, q.ranks, given)
     return dec.get(key if kind == "sum" else key[0], 0)

@@ -2,9 +2,10 @@
 
 ``PAIRS`` maps each pair id to its PairRule: the rule's kind and number,
 the label families on each side, the big label's rank and which even
-shapes its sum keeps.  The formulas (branching), the character oracle and
-the verification grids read a pair's rule, never its id, so this module
-depends on nothing but the error types.
+shapes its sum keeps; label_ranks is the one place that turns a pair's
+ranks into its labels' ranks.  The formulas (branching), the character
+oracle and the verification grids read a pair's rule, never its id, so
+this module depends on nothing but the error types.
 """
 
 from __future__ import annotations
@@ -50,9 +51,6 @@ PAIRS = {
 
 PAIR_IDS = tuple(PAIRS)
 
-# rule ids quoted in stable-range violation reports
-RULE_ID = {pair: rule.rule_id for pair, rule in PAIRS.items()}
-
 
 def rule_of(pair: str) -> PairRule:
     """The pair's PairRule; UnknownPair for an id not in PAIRS."""
@@ -71,6 +69,22 @@ def rule_for_ranks(pair: str, ranks) -> PairRule:
         raise InvalidLabel(f"{pair} takes ranks {'(n, m)' if sums else '(n,)'}"
                            f", got {ranks!r}")
     return rule
+
+
+def label_ranks(pair: str, ranks) -> tuple[int, tuple[int, ...]]:
+    """The rank of the big label and of each small label at the pair's
+    ranks (n,) or (n, m): n+m and (n, m) for a sum rule, big_scale·n and
+    n for each small label otherwise.  InvalidLabel for a negative n or m."""
+    rule = rule_for_ranks(pair, ranks)
+    sums = rule.kind == "sum"
+    for rank in ranks[:1 + sums]:
+        if rank < 0:
+            raise InvalidLabel(f"negative rank {rank}")
+    n = ranks[0]
+    if sums:
+        m = ranks[1]
+        return n + m, (n, m)
+    return rule.big_scale * n, (n,) * rule.small_count
 
 
 def torus_rank(family: str, n: int) -> int:

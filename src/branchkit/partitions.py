@@ -153,9 +153,9 @@ def partitions_up_to(
 def subpartitions(p: Partition, total: int | None = None) -> Iterator[Partition]:
     """Partitions contained in p, optionally of a fixed size."""
     if total is not None:
-        if total < 0 or total > sum(p):
-            return
-        yield from _subpartitions_sized(p, total)
+        for q in partitions_of(total, p[0] if p else 0, len(p)):
+            if contains(p, q):
+                yield q
         return
 
     def rec(i: int, bound: int, acc: list[int]):
@@ -168,32 +168,6 @@ def subpartitions(p: Partition, total: int | None = None) -> Iterator[Partition]
             acc.pop()
 
     yield from rec(0, p[0] if p else 0, [])
-
-
-def _subpartitions_sized(p: Partition, total: int) -> Iterator[Partition]:
-    def rec(i: int, bound: int, remaining: int, acc: list[int]):
-        if remaining == 0:
-            yield tuple(acc)
-            return
-        if i == len(p):
-            return
-        hi = min(p[i], bound, remaining)
-        # even taking the maximum in every later row must be able to finish
-        for part in range(hi, 0, -1):
-            tail_cap = 0
-            b = part
-            for j in range(i + 1, len(p)):
-                b = min(b, p[j])
-                tail_cap += b
-                if tail_cap >= remaining - part:
-                    break
-            if tail_cap < remaining - part:
-                continue
-            acc.append(part)
-            yield from rec(i + 1, part, remaining - part, acc)
-            acc.pop()
-
-    yield from rec(0, p[0] if p else 0, total, [])
 
 
 class GLLabel(NamedTuple):

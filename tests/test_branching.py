@@ -461,6 +461,14 @@ def test_query_with_too_few_ranks_is_an_invalid_label():
         query("o-sum", (3,), E, [E, E])
 
 
+def test_query_with_a_negative_rank_is_an_invalid_label():
+    # the ranks are read when the query is built, before any label
+    with pytest.raises(InvalidLabel, match="negative rank -1"):
+        query("sp-in-gl", (-1,), L(E), [E])
+    with pytest.raises(InvalidLabel, match="negative rank -1"):
+        query("o-sum", (3, -1), E, [E, E])
+
+
 def test_range_violations_with_too_few_ranks_is_an_invalid_label():
     with pytest.raises(InvalidLabel, match=r"takes ranks \(n, m\)"):
         range_violations("o-sum", (3,))

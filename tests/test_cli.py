@@ -227,6 +227,23 @@ def test_decompose_rejects_negative_rank(capsys):
     assert code == 1 and err == "error: negative rank -1\n"
 
 
+@pytest.mark.parametrize("pair", PAIR_IDS)
+def test_a_negative_rank_exits_one_from_branch_and_decompose(capsys, pair):
+    rule = PAIRS[pair]
+    branch = ["branch", "--pair", pair, "--big", "[]",
+              "--small", *["[]"] * rule.small_count]
+    decompose = ["decompose", "--pair", pair,
+                 *(["--mu", "[]", "--nu", "[]"] if rule.kind == "diag"
+                   else ["--big", "[]"])]
+    ranks = ([["-n", "-1", "-m", "3"], ["-n", "3", "-m", "-1"]]
+             if rule.kind == "sum" else [["-n", "-1"]])
+    for argv in (branch, decompose):
+        for rank_args in ranks:
+            code, out, err = run_cli(capsys, *argv, *rank_args)
+            assert (code, out, err) == (1, "", "error: negative rank -1\n"), (
+                argv, rank_args)
+
+
 @pytest.mark.parametrize("argv", [
     ["lr", "--outer", "[3,²]", "--left", "[2]", "--right", "[1]"],
     ["branch", "--pair", "gl-diag", "-n", "3", "--big", "[1]/[²]",

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from branchkit import query
-from branchkit.branching import RepLabel
+from branchkit.branching import BranchingQuery, RepLabel
 from branchkit.characters import (
     GL,
     SO,
@@ -26,6 +26,7 @@ from branchkit.errors import (
 from branchkit.oracle import (
     _restriction_remainder,
     _sum_remainder,
+    _translate_so_map,
     decompose_tensor,
     dim_irrep,
     duality_dim_check,
@@ -552,3 +553,39 @@ def test_no_partition_below_the_least_rank_is_invalid(pair, ranks, big):
 def test_dim_irrep_of_no_partition_below_the_least_rank_is_invalid(label):
     with pytest.raises(InvalidLabel, match="is not a partition"):
         dim_irrep(label)
+
+
+def test_an_unknown_family_is_an_invalid_label():
+    q = BranchingQuery("o-in-gl", RepLabel("GL", 6, L((2,))),
+                       (RepLabel("X", 6, E),))
+    with pytest.raises(InvalidLabel, match="unknown family 'X'"):
+        oracle_multiplicity(q)
+    with pytest.raises(InvalidLabel, match="unknown family 'X'"):
+        dim_irrep(RepLabel("X", 6, E))
+
+
+def test_a_negative_rank_is_an_invalid_label():
+    for pair, ranks, big in [("o-diag", (-1,), (E, E)),
+                             ("gl-sum", (3, -1), L(E)),
+                             ("sp-in-gl", (-1,), L(E))]:
+        with pytest.raises(InvalidLabel, match="negative rank -1"):
+            oracle_decomposition(pair, ranks, big)
+    q = BranchingQuery("o-in-gl", RepLabel("GL", -1, L(E)),
+                       (RepLabel("O", -1, E),))
+    with pytest.raises(InvalidLabel, match="negative rank -1"):
+        oracle_multiplicity(q)
+
+
+def test_so_translation_refuses_an_unpaired_boundary_weight():
+    # O_4 labels of length 2 appear as a +/- pair of SO_4 weights
+    for raw in ({(1, -1): 1}, {(1, 1): 1}):
+        with pytest.raises(NotACharacter, match="unpaired boundary weight"):
+            _translate_so_map(raw, 4)
+    assert _translate_so_map({(1, 1): 2, (1, -1): 2}, 4) == {(1, 1): 2}
+
+
+def test_a_sum_factor_label_out_of_the_safe_regime_is_refused():
+    # O_11 ⊃ O_2 × O_9: (1) restricts to a factor label (1) at rank 2
+    with pytest.raises(OutOfSafeRegime,
+                       match="factor label out of safe regime"):
+        oracle_decomposition("o-sum", (2, 9), (1,))

@@ -166,7 +166,10 @@ def test_subpartitions_complete_and_duplicate_free():
         for k in range(sum(p) + 1):
             sized = list(subpartitions(p, k))
             assert len(sized) == len(set(sized))
-            assert set(sized) == {q for q in got if sum(q) == k}
+            assert sized == sorted({q for q in got if sum(q) == k},
+                                   reverse=True)
+        assert list(subpartitions(p, -1)) == []
+        assert list(subpartitions(p, sum(p) + 1)) == []
 
 
 def test_gl_label_parsing():

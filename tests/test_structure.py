@@ -3,7 +3,8 @@
 The pair table stays the one place that tells the ten pairs apart: every
 per-pair choice in the package reads the pair's rule in branching.PAIRS; a
 comparison against a pair-id literal, or a prefix or suffix test on a pair
-id, would put a per-pair fact back outside it.  The oracle and the
+id, would put a per-pair fact back outside it; so would reading a rule's
+rank scale anywhere but in pairs.label_ranks.  The oracle and the
 character layer share no code with the LR machinery they are held
 against, and decompositions enumerate no candidate labels.  The
 package's memos are a fixed, named set, so that a new one is added on
@@ -73,6 +74,29 @@ def test_no_pair_id_branches_outside_the_table():
     found = [f"{path.name}:{hit}"
              for path in sorted(SRC.glob("*.py"))
              for hit in pair_id_branches(path.read_text(encoding="utf-8"))]
+    assert not found, "\n".join(found)
+
+
+def rank_scale_reads(source: str) -> list[str]:
+    """Each read of an attribute named big_scale, as 'line: code'."""
+    return [f"{node.lineno}: {ast.unparse(node)}"
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and node.attr == "big_scale"]
+
+
+def test_the_check_sees_rank_scale_reads():
+    for code in ("big_n = rule.big_scale * n", "f(PAIRS[pair].big_scale)"):
+        assert rank_scale_reads(code), code
+    for code in ('PairRule("bilinear", big_scale=2)', "big_scale = 2"):
+        assert not rank_scale_reads(code), code
+
+
+def test_only_the_pair_table_reads_the_rank_scale():
+    """Each label's rank at the pair's ranks is worked out once, in
+    pairs.label_ranks: no other module reads a rule's big_scale."""
+    found = [f"{path.name}:{hit}"
+             for path in sorted(SRC.glob("*.py")) if path.name != "pairs.py"
+             for hit in rank_scale_reads(path.read_text(encoding="utf-8"))]
     assert not found, "\n".join(found)
 
 
