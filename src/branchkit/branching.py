@@ -537,7 +537,7 @@ def branch_decompose(pair: str, big, ranks=None, bound: int | None = None) -> di
     rule = rule_of(pair)
     # the sum rules read no rank, but ranks that are given must fit the rule
     if rule.kind != "sum" or ranks is not None:
-        rule_for_ranks(pair, ranks)
+        label_ranks(pair, ranks)
     for label in big if rule.kind == "diag" else (big,):
         check_partitions(rule.big, label)
     limit = inf if bound is None else bound

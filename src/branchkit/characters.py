@@ -620,9 +620,9 @@ def restrict_character(chi: LaurentPoly, pair: str, ranks) -> LaurentPoly:
     lives on the big group's torus; the output on the subgroup's.
     """
     rule = rule_of(pair)
+    big_n, small_ranks = label_ranks(pair, ranks)
     if rule.kind == "polarization":
         return dict(chi)  # identical torus, re-read as GL_n
-    big_n, small_ranks = label_ranks(pair, ranks)
     if rule.kind == "diag":
         k = torus_rank(rule.small, small_ranks[0])
         size, torus = 2 * k, "product"

@@ -13,9 +13,16 @@ verify runs each grid at the acceptance suite's cap, verify.DEFAULT_MAX_SIZE
 selftest is verify --pair all --max-size 2, then a PASS or FAIL line.
 
 If BRANCHKIT_CACHE names a file, the Littlewood-Richardson memo is loaded
-from it on startup and written back on exit; otherwise the cache is
-in-memory only.  A cache file that cannot be read, parsed or written draws
-a warning on stderr and is ignored; the exit code stays the command's own.
+from it on startup and saved to it on exit; otherwise the cache is
+in-memory only.  Each line of the file holds one skew expansion and ends
+in the CRC-32 of its text (see lr.dump_cache_lines).  After a clean load,
+the save appends only the expansions the file lacked, in one write on an
+O_APPEND descriptor, and writes nothing when there are none.  When there
+was no file, or the load refused it, the save writes the whole memo to a
+temporary file and renames it over the old one; a file from before the
+checksums is refused once and rewritten so.  A cache file that cannot be
+read, parsed or written, or whose line fails its checksum, draws a warning
+on stderr and is ignored; the exit code stays the command's own.
 """
 
 from __future__ import annotations
@@ -295,19 +302,36 @@ def build_parser() -> _Parser:
 
 
 def _load_cache(path: str):
+    """Load the memo file at ``path`` into the LR memo; the keys it held,
+    or None when there was no file or it was refused."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lr.load_cache_lines(fh)
+            return lr.load_cache_lines(fh)
     except FileNotFoundError:
         pass
     except (OSError, ValueError) as exc:
         print(f"warning: ignoring cache file {path}: {exc}", file=sys.stderr)
+    return None
 
 
-def _save_cache(path: str):
+def _save_cache(path: str, held):
+    """Save the LR memo to the file at ``path``.  ``held`` is what
+    _load_cache returned: after a clean load, append in one write the
+    expansions whose keys the file lacked, if any; otherwise rewrite the
+    file whole."""
     # one temporary file per process, so concurrent runs never share one
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
+        if held is not None:
+            data = "".join(line + "\n" for line in lr.dump_cache_lines(held))
+            if data:  # a torn or spliced line fails its checksum next load
+                fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT,
+                             0o666)
+                try:
+                    os.write(fd, data.encode())
+                finally:
+                    os.close(fd)
+            return
         with open(tmp, "w", encoding="utf-8") as fh:
             for line in lr.dump_cache_lines():
                 fh.write(line + "\n")
@@ -322,8 +346,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     cache_path = os.environ.get("BRANCHKIT_CACHE")
-    if cache_path:
-        _load_cache(cache_path)
+    held = _load_cache(cache_path) if cache_path else None
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe raises here, not at exit
@@ -343,7 +366,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     finally:
         if cache_path:
-            _save_cache(cache_path)
+            _save_cache(cache_path, held)
     return code
 
 

@@ -27,6 +27,8 @@ an inconsistent one.
 
 from __future__ import annotations
 
+import zlib
+
 from .partitions import Partition, contains, is_even_columns, is_even_rows
 
 _INF = 10 ** 9
@@ -176,39 +178,56 @@ def clear_cache() -> None:
     _SKEW_CACHE.clear()
 
 
-def dump_cache_lines():
-    """Serialize the cache, one complete skew expansion per line."""
-    for (outer, inner), expansion in _SKEW_CACHE.items():
-        entries = ",".join(
-            ".".join(map(str, nu)) + ":" + str(c) for nu, c in sorted(expansion.items())
-        )
-        yield "%s|%s|%s" % (
+def dump_cache_lines(held=()):
+    """Serialize the memo, one complete skew expansion per line, leaving out
+    the keys in ``held``.
+
+    A line reads ``outer|inner|ν:c,ν:c,...|crc``: partitions as dotted
+    parts, and crc the CRC-32 of the text before the last ``|`` in eight
+    hex digits.  The checksum catches a line that two appends spliced
+    together; a line whose checksum holds is loaded whatever it says."""
+    for key, expansion in _SKEW_CACHE.items():
+        if key in held:
+            continue
+        outer, inner = key
+        text = "%s|%s|%s" % (
             ".".join(map(str, outer)),
             ".".join(map(str, inner)),
-            entries,
+            ",".join(".".join(map(str, nu)) + ":" + str(c)
+                     for nu, c in sorted(expansion.items())),
         )
+        yield "%s|%08x" % (text, zlib.crc32(text.encode()))
 
 
-def load_cache_lines(lines) -> int:
-    """Load lines produced by dump_cache_lines; returns entries loaded.
+def load_cache_lines(lines):
+    """Load lines produced by dump_cache_lines; returns the keys loaded.
 
-    Raises ValueError on a line that does not parse, and then loads
+    Raises ValueError on a line that does not parse or fails its checksum
+    (a line of the format before checksums among them), and then loads
     nothing: the memo takes the lines all together or not at all."""
+    # each distinct partition string is parsed once per load
+    parsed: dict[str, Partition] = {"": ()}
 
     def parse(part: str) -> Partition:
-        return tuple(int(x) for x in part.split(".")) if part else ()
+        p = parsed.get(part)
+        if p is None:
+            p = parsed[part] = tuple(map(int, part.split(".")))
+        return p
 
     loaded: dict[tuple[Partition, Partition], dict[Partition, int]] = {}
-    for line in lines:
+    for number, line in enumerate(lines, 1):
         line = line.strip()
         if not line:
             continue
-        outer_s, inner_s, entries_s = line.split("|")
+        text, _, crc = line.rpartition("|")
+        if crc != "%08x" % zlib.crc32(text.encode()):
+            raise ValueError(f"line {number} fails its checksum")
+        outer_s, inner_s, entries_s = text.split("|")
         expansion = {}
         if entries_s:
             for item in entries_s.split(","):
                 nu_s, c_s = item.split(":")
                 expansion[parse(nu_s)] = int(c_s)
-        loaded[(parse(outer_s), parse(inner_s))] = expansion
+        loaded[parse(outer_s), parse(inner_s)] = expansion
     _SKEW_CACHE.update(loaded)
-    return len(loaded)
+    return loaded.keys()

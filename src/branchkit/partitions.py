@@ -153,6 +153,8 @@ def partitions_up_to(
 def subpartitions(p: Partition, total: int | None = None) -> Iterator[Partition]:
     """Partitions contained in p, optionally of a fixed size."""
     if total is not None:
+        if total > sum(p):  # nothing that large fits in p
+            return
         for q in partitions_of(total, p[0] if p else 0, len(p)):
             if contains(p, q):
                 yield q

@@ -491,6 +491,17 @@ def test_branch_decompose_with_too_few_ranks_for_a_sum_rule():
 
 
 @pytest.mark.parametrize("pair,big,ranks", [
+    ("o-diag", ((1,), (1,)), (-1,)),
+    ("o-in-gl", L((2,)), (-1,)),
+    ("gl-sum", L((1,)), (-1, 2)),
+])
+def test_branch_decompose_refuses_a_negative_rank(pair, big, ranks):
+    # as query and the oracle do, through pairs.label_ranks
+    with pytest.raises(InvalidLabel, match="negative rank -1"):
+        branch_decompose(pair, big, ranks)
+
+
+@pytest.mark.parametrize("pair,big,ranks", [
     ("gl-sum", L(E, (-2, -2)), None),
     ("o-in-gl", L((1, 2)), (6,)),
     ("gl-in-sp", (1, 2), (3,)),

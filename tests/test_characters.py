@@ -26,7 +26,8 @@ from branchkit.characters import (
     _root_orbits,
     _signed_orbit_terms,
 )
-from branchkit.errors import NotACharacter, NotDominant, UnknownPair
+from branchkit.errors import (InvalidLabel, NotACharacter, NotDominant,
+                             UnknownPair)
 from branchkit.partitions import partitions_up_to
 
 from bruteforce import naive_schur_poly
@@ -465,6 +466,17 @@ def test_restrict_character_examples():
         (1,): 1, (0,): 1, (-1,): 1}
     with pytest.raises(UnknownPair):
         restrict_character({}, "nope", (2,))
+
+
+@pytest.mark.parametrize("ranks,message", [
+    ((-5,), "negative rank -5"),
+    ((), r"gl-in-o takes ranks \(n,\), got \(\)"),
+])
+def test_restrict_character_reads_the_ranks_of_a_polarization(ranks,
+                                                              message):
+    # the polarizations copy the character, but still check their ranks
+    with pytest.raises(InvalidLabel, match=message):
+        restrict_character({(1, 0): 1}, "gl-in-o", ranks)
 
 
 def test_restriction_decomposes_consistently():

@@ -6,8 +6,10 @@ import sys
 
 import pytest
 
+from branchkit import lr
 from branchkit.branching import PAIR_IDS, PAIRS
 from branchkit.cli import EXIT_BROKEN_PIPE, main
+from branchkit.partitions import contains
 
 
 def run_cli(capsys, *argv):
@@ -167,6 +169,146 @@ def test_unwritable_cache_keeps_exit_code(tmp_path, monkeypatch, capsys):
                            "--big", "[1]", "--small", "[1]", "[1]")
     assert code == 2
     assert "warning:" in err and "2.1.2" in err
+
+
+LR_321 = ("lr", "--outer", "[3,2,1]", "--left", "[2,1]", "--right", "[2,1]")
+# each needs expansions that the file written by LR_321 lacks
+DECOMPOSE_O = ("decompose", "--pair", "o-diag", "-n", "12", "--mu", "[2,1]",
+               "--nu", "[2]")
+DECOMPOSE_SP = ("decompose", "--pair", "gl-in-sp", "-n", "8", "--big", "[2,2]")
+OUT_OF_RANGE = ("branch", "--pair", "o-diag", "-n", "3", "--big", "[1]",
+                "--small", "[1]", "[1]")
+
+
+def run_fresh(capsys, *argv):
+    """run_cli with the memo emptied first, as a new process starts."""
+    lr.clear_cache()
+    return run_cli(capsys, *argv)
+
+
+def keys_of(data: bytes) -> list:
+    lr.clear_cache()
+    return list(lr.load_cache_lines(io.StringIO(data.decode())))
+
+
+def test_a_command_that_adds_nothing_leaves_the_cache_file_alone(
+        tmp_path, monkeypatch, capsys):
+    cache = tmp_path / "lr-cache.txt"
+    monkeypatch.setenv("BRANCHKIT_CACHE", str(cache))
+    assert run_fresh(capsys, *LR_321)[0] == 0
+    before, stat = cache.read_bytes(), cache.stat()
+    for argv, expected in ((LR_321, 0), (OUT_OF_RANGE, 2)):
+        code, out, err = run_fresh(capsys, *argv)
+        assert code == expected and "warning" not in err
+    # not even rewritten with the same bytes: the file is the same one
+    assert cache.read_bytes() == before
+    assert cache.stat().st_ino == stat.st_ino
+    assert cache.stat().st_mtime_ns == stat.st_mtime_ns
+
+
+def test_a_command_appends_only_the_keys_the_file_lacked(
+        tmp_path, monkeypatch, capsys):
+    cache = tmp_path / "lr-cache.txt"
+    monkeypatch.setenv("BRANCHKIT_CACHE", str(cache))
+    assert run_fresh(capsys, *LR_321)[0] == 0
+    assert run_fresh(capsys, *DECOMPOSE_O)[0] == 0
+    before = cache.read_bytes()
+    inode = cache.stat().st_ino
+    old_keys = keys_of(before)
+    code, _, err = run_fresh(capsys, *DECOMPOSE_SP)
+    assert code == 0 and err == ""
+    memo_keys = set(lr._SKEW_CACHE)
+    after = cache.read_bytes()
+    assert after.startswith(before) and cache.stat().st_ino == inode
+    new_keys = keys_of(after[len(before):])
+    assert new_keys and len(new_keys) == after[len(before):].count(b"\n")
+    assert set(new_keys) == memo_keys - set(old_keys)
+    # DECOMPOSE_SP also read expansions the file held; none were repeated
+    assert memo_keys & set(old_keys)
+
+
+def test_lines_appended_by_another_run_survive_the_save(
+        tmp_path, monkeypatch, capsys):
+    from branchkit import cli
+
+    cache = tmp_path / "lr-cache.txt"
+    monkeypatch.setenv("BRANCHKIT_CACHE", str(cache))
+    assert run_fresh(capsys, *LR_321)[0] == 0
+    assert run_fresh(capsys, *DECOMPOSE_SP)[0] == 0
+    theirs = cache.read_bytes()
+    cache.write_bytes(theirs[:theirs.index(b"\n") + 1])
+    load = cli._load_cache
+
+    def load_then_another_run_appends(path):
+        held = load(path)
+        with open(path, "ab") as fh:
+            fh.write(theirs[theirs.index(b"\n") + 1:])
+        return held
+
+    monkeypatch.setattr(cli, "_load_cache", load_then_another_run_appends)
+    assert run_fresh(capsys, *DECOMPOSE_O)[0] == 0
+    data = cache.read_bytes()
+    assert data.startswith(theirs) and len(data) > len(theirs)
+    assert set(keys_of(data)) >= set(keys_of(theirs))
+
+
+@pytest.mark.parametrize("content", [
+    b"3.2.1|2.1|2.1:7,3:1\n",  # the format before checksums, and wrong
+    b"\xff\xfe not a cache file\n",
+    # a wrong value under the checksum of the true 3.2.1|2.1 line
+    b"3.2.1|2.1|1.1.1:1,2.1:7,3:1|963e75e5\n",
+], ids=["old-format", "garbage", "bad-crc"])
+def test_a_refused_cache_file_is_rewritten_whole_once(
+        tmp_path, monkeypatch, capsys, content):
+    cache = tmp_path / "lr-cache.txt"
+    cache.write_bytes(content)
+    monkeypatch.setenv("BRANCHKIT_CACHE", str(cache))
+    code, out, err = run_fresh(capsys, *LR_321)
+    assert code == 0 and json.loads(out)["result"] == 2
+    assert err.startswith("warning: ignoring cache file")
+    assert err.count("\n") == 1
+    rewritten = cache.read_bytes()
+    assert content not in rewritten
+    assert keys_of(rewritten) == [((3, 2, 1), (2, 1))]
+    code, out, err = run_fresh(capsys, *LR_321)
+    assert code == 0 and json.loads(out)["result"] == 2 and err == ""
+    assert cache.read_bytes() == rewritten
+
+
+def test_an_append_spliced_into_another_is_refused_or_true(
+        tmp_path, monkeypatch, capsys):
+    # two runs appending at once may interleave their writes: put one
+    # run's block at every byte offset of the other's
+    cache = tmp_path / "lr-cache.txt"
+    monkeypatch.setenv("BRANCHKIT_CACHE", str(cache))
+    assert run_fresh(capsys, *LR_321)[0] == 0
+    base = cache.read_bytes()
+    blocks = []
+    for argv in (DECOMPOSE_O, DECOMPOSE_SP):
+        cache.write_bytes(base)
+        assert run_fresh(capsys, *argv)[0] == 0
+        blocks.append(cache.read_bytes()[len(base):])
+    a, b = blocks
+    assert a.count(b"\n") > 1 and b
+    truth = {}
+    for key in keys_of(base + a + b):
+        outer, inner = key
+        truth[key] = (lr._skew_fillings(outer, inner)
+                      if contains(outer, inner) else {})
+        assert lr._SKEW_CACHE[key] == truth[key]
+    boundaries = {0} | {i + 1 for i, byte in enumerate(a) if byte == 10}
+    for k in range(len(a) + 1):
+        data = base + a[:k] + b + a[k:]
+        lr.clear_cache()
+        try:
+            keys = lr.load_cache_lines(io.StringIO(data.decode()))
+        except ValueError:
+            assert k not in boundaries, k
+            assert not lr._SKEW_CACHE
+            continue
+        assert k in boundaries, k
+        assert set(keys) == set(truth)
+        assert all(lr._SKEW_CACHE[key] == truth[key] for key in keys)
 
 
 def test_console_entry_point_subprocess():

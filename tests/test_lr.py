@@ -204,9 +204,10 @@ def test_cache_roundtrip():
     lr_coeff((3, 2, 1), (2, 1), (2, 1))
     lines = list(dump_cache_lines())
     assert lines
+    keys = set(_SKEW_CACHE)
     clear_cache()
-    n = load_cache_lines(lines)
-    assert n == len(lines)
+    assert load_cache_lines(lines) == keys == set(_SKEW_CACHE)
+    assert len(keys) == len(lines)
     assert lr_coeff((3, 2, 1), (2, 1), (2, 1)) == 2
 
 

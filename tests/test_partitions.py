@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from branchkit import partitions
 from branchkit.errors import NotAPartition, ParseError
 from branchkit.partitions import (
     GLLabel,
@@ -170,6 +171,14 @@ def test_subpartitions_complete_and_duplicate_free():
                                    reverse=True)
         assert list(subpartitions(p, -1)) == []
         assert list(subpartitions(p, sum(p) + 1)) == []
+
+
+def test_subpartitions_of_a_size_beyond_p_walk_nothing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("partitions_of was walked")
+
+    monkeypatch.setattr(partitions, "partitions_of", refuse)
+    assert list(subpartitions((8,) * 8, 65)) == []
 
 
 def test_gl_label_parsing():

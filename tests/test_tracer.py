@@ -6,7 +6,9 @@ benchmark runs.  This installs the tracer on the package, runs one small
 traced grid and takes the wrappers out again.  perfbench is only read.
 """
 
+import contextlib
 import importlib.util
+import io
 import types
 from pathlib import Path
 
@@ -37,6 +39,34 @@ def test_the_tracer_installs_runs_and_unpatches():
         metrics = tracer.metrics()
         assert metrics["verify.grid.o-sum_s"] > 0
         assert metrics["oracle.calls"] > 0
+    finally:
+        tracer.unpatch()
+    for owner, attr, original, _ in patched:
+        assert getattr(owner, attr) is original, attr
+
+
+def test_the_tracer_times_the_cache_of_traced_cli_requests(tmp_path,
+                                                           monkeypatch):
+    # the benchmark's traced cli-cached run wraps _load_cache and
+    # _save_cache and reads their spans; each request loads and saves
+    monkeypatch.setenv("BRANCHKIT_CACHE", str(tmp_path / "lr-cache.txt"))
+    bk = types.SimpleNamespace(lr=lr, branching=branching,
+                               characters=characters, oracle=oracle,
+                               verify=verify, cli=cli)
+    tracer = _load_tracer().Tracer()
+    try:
+        entries = tracer.install(bk, {"cli.main": cli.main})
+        patched = list(tracer._patched)
+        for argv in (["lr", "--outer", "[3,2,1]", "--left", "[2,1]",
+                      "--right", "[2,1]"],
+                     ["decompose", "--pair", "o-diag", "-n", "12",
+                      "--mu", "[2,1]", "--nu", "[2]"]):
+            lr.clear_cache()
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert entries["cli.main"](argv) == 0
+        metrics = tracer.metrics()
+        assert metrics["cli.cache_load_s"] > 0
+        assert metrics["cli.cache_save_s"] > 0
     finally:
         tracer.unpatch()
     for owner, attr, original, _ in patched:
