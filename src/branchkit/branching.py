@@ -60,6 +60,9 @@ from .partitions import (
     GLLabel,
     Partition,
     check_partitions,
+    contains,
+    double_columns,
+    double_rows,
     first_two_columns,
     meet,
     subpartitions,
@@ -396,24 +399,35 @@ def bilinear_sum(lam: GLLabel, mu: Partition, even_mode: str) -> int:
                for alpha, wa in _even_weights(lam.plus, even_mode).items())
 
 
+def _evens(outer: Partition, even_mode: str):
+    """Every 2δ ⊆ outer with even rows ("rows") or even columns, built
+    from δ ⊆ (⌊outer_1/2⌋, ⌊outer_2/2⌋, ...) or δ ⊆ (outer_2, outer_4, ...)."""
+    if even_mode == "rows":
+        return map(double_rows, subpartitions(tuple(x // 2 for x in outer)))
+    return map(double_columns, subpartitions(outer[1::2]))
+
+
 def _even_weights(outer: Partition, even_mode: str) -> dict[Partition, int]:
-    """{α ⊆ outer: Σ_δ c^outer_{α 2δ}}, nonzero weights only; 2δ runs over
-    the even-row partitions ("rows") or the even-column ones."""
-    even_sum = even_row_sum if even_mode == "rows" else even_column_sum
-    out = {}
-    for alpha in subpartitions(outer):
-        if (sum(outer) - sum(alpha)) % 2:
-            continue
-        w = even_sum(skew_expand(outer, alpha))
-        if w:
-            out[alpha] = w
+    """{α ⊆ outer: Σ_δ c^outer_{α 2δ}}, nonzero weights only: the skew
+    expansions of outer/2δ, summed over the even 2δ of _evens."""
+    out: dict = defaultdict(int)
+    for two_delta in _evens(outer, even_mode):
+        for alpha, c in skew_expand(outer, two_delta).items():
+            out[alpha] += c
     return out
 
 
-def _coproduct(gamma: Partition):
-    """Every (a, b, c^γ_{ab}) with a nonzero coefficient."""
-    return ((a, b, c) for a in subpartitions(gamma)
-            for b, c in skew_expand(gamma, a).items())
+def _split(outer: Partition, delta: Partition) -> dict:
+    """The coproduct of s_{outer/δ}: {(a, b): Σ_τ c^outer_{τa} c^τ_{δb}}
+    over δ ⊆ τ ⊆ outer, which is Σ_γ c^outer_{δγ} c^γ_{ab} by
+    coassociativity (Macdonald, Symmetric Functions, I.5 (5.10))."""
+    out: dict = defaultdict(int)
+    for tau in subpartitions(outer):
+        if contains(tau, delta):
+            for a, b, c in _cross(skew_expand(outer, tau),
+                                  skew_expand(tau, delta)):
+                out[a, b] += c
+    return out
 
 
 def littlewood_restriction(
@@ -526,10 +540,12 @@ def branch_decompose(pair: str, big, ranks=None, bound: int | None = None) -> di
     accept ranks=None.  ``bound`` optionally caps label sizes: each
     factor's for the direct sums, |λ+|+|λ-| for a GL label, |λ| otherwise.
 
-    The rule's sum is expanded from the big side: skew expansions of the
-    big labels, then LR products (tensor_expand) or coproducts of what is
-    left, each term adding to the labels it produces.  No small label is
-    guessed, so the cost follows the size of the output.
+    The rule's sum is expanded from the big side, each term adding to the
+    labels it produces: skew expansions of the big labels, then LR
+    products (tensor_expand) or the coproduct of s_{λ/δ}, read as
+    Σ_τ s_{λ/τ} ⊗ s_{τ/δ} (Macdonald I.5 (5.10)) for each δ the rule
+    removes (only even 2δ for O and Sp).  No small label is guessed, so
+    the cost follows the size of the output.
 
     The big side must itself satisfy the rule's hypotheses at ``ranks``
     (use validate_stable_range on a query first if unsure).
@@ -569,32 +585,27 @@ def branch_decompose(pair: str, big, ranks=None, bound: int | None = None) -> di
              for t in _cross(skew_expand(mu, alpha), skew_expand(nu, alpha))),
             torus_rank(rule.small, ranks[0]))
     elif rule.kind == "sum" and rule.big == "GL":
-        # δ cancels between λ+ and λ-; the rest γ± splits between the factors
-        gammas: dict = defaultdict(int)
+        # δ cancels between λ+ and λ-; the rest of each splits between factors
         for delta in subpartitions(meet(big.plus, big.minus)):
-            for gp, gm, w in _cross(skew_expand(big.plus, delta),
-                                    skew_expand(big.minus, delta)):
-                gammas[gp, gm] += w
-        for (gp, gm), w in gammas.items():
-            minus = list(_coproduct(gm))
-            for mp, np_, cp in _coproduct(gp):
-                for mm, nm, cm in minus:
+            minus = _split(big.minus, delta)
+            for (mp, np_), cp in _split(big.plus, delta).items():
+                for (mm, nm), cm in minus.items():
                     mu, nu = GLLabel(mp, mm), GLLabel(np_, nm)
                     if max(mu.total_size(), nu.total_size()) <= limit:
-                        out[mu, nu] += w * cp * cm
+                        out[mu, nu] += cp * cm
     elif rule.kind == "sum":
-        # each γ with nonzero even weight on λ/γ splits between the factors
-        for gamma, w in _even_weights(big, rule.even).items():
-            for mu, nu, c in _coproduct(gamma):
+        # λ/2δ splits between the factors, for each even 2δ
+        for two_delta in _evens(big, rule.even):
+            for (mu, nu), c in _split(big, two_delta).items():
                 if max(sum(mu), sum(nu)) <= limit:
-                    out[mu, nu] += w * c
+                    out[mu, nu] += c
     elif rule.kind == "polarization":
-        # as the sum rules, with γ split into μ+ and μ-
+        # as the sum rules, with λ/2δ split into μ+ and μ-
         cap = ranks[0] // 2
-        for gamma, w in _even_weights(big, rule.even).items():
-            for mp, mm, c in _coproduct(gamma):
-                if sum(gamma) <= limit and max(len(mp), len(mm)) <= cap:
-                    out[GLLabel(mp, mm)] += w * c
+        for two_delta in _evens(big, rule.even):
+            for (mp, mm), c in _split(big, two_delta).items():
+                if sum(mp + mm) <= limit and max(len(mp), len(mm)) <= cap:
+                    out[GLLabel(mp, mm)] += c
     else:  # bilinear: μ ∈ α·β, weighted by the even weights of λ+/α, λ-/β
         weights = _cross(_even_weights(big.plus, rule.even),
                          _even_weights(big.minus, rule.even))

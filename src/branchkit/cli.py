@@ -325,12 +325,13 @@ def _save_cache(path: str, held):
         if held is not None:
             data = "".join(line + "\n" for line in lr.dump_cache_lines(held))
             if data:  # a torn or spliced line fails its checksum next load
-                fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT,
-                             0o666)
-                try:
-                    os.write(fd, data.encode())
-                finally:
-                    os.close(fd)
+                with open(path, "a+b", buffering=0) as fh:  # one write
+                    # a hand edit can leave the last line without its newline
+                    if fh.seek(0, os.SEEK_END):
+                        fh.seek(-1, os.SEEK_END)
+                        if fh.read(1) != b"\n":
+                            data = "\n" + data
+                    fh.write(data.encode())
             return
         with open(tmp, "w", encoding="utf-8") as fh:
             for line in lr.dump_cache_lines():

@@ -128,3 +128,43 @@ def naive_schur_poly(shape, nvars):
     for w in naive_ssyt_weights(shape, nvars):
         out[w] = out.get(w, 0) + 1
     return out
+
+
+def sub_partitions(outer):
+    """Every partition whose diagram lies inside outer's, read off the
+    box of outer's rows."""
+    found = []
+    for parts in product(*(range(x + 1) for x in outer)):
+        if all(a >= b for a, b in zip(parts, parts[1:])):
+            found.append(tuple(x for x in parts if x))
+    return found
+
+
+def is_even(nu, mode):
+    """Every row even ("rows"), or every column of even height."""
+    if mode == "rows":
+        return all(x % 2 == 0 for x in nu)
+    return len(nu) % 2 == 0 and nu[::2] == nu[1::2]
+
+
+def even_weights(outer, mode):
+    """{α ⊆ outer: Σ c^outer_{αν} over the even ν}, nonzero weights only,
+    with one tableau search for every α."""
+    out = {}
+    for alpha in sub_partitions(outer):
+        w = sum(c for nu, c in lr_fillings_by_content(outer, alpha).items()
+                if is_even(nu, mode))
+        if w:
+            out[alpha] = w
+    return out
+
+
+def skew_coproduct(outer, delta):
+    """{(a, b): Σ_γ c^outer_{δγ} c^γ_{ab}}: each γ in s_{outer/δ} split by
+    the coproduct of s_γ, one tableau search for every a ⊆ γ."""
+    out = {}
+    for gamma, c in lr_fillings_by_content(outer, delta).items():
+        for a in sub_partitions(gamma):
+            for b, d in lr_fillings_by_content(gamma, a).items():
+                out[a, b] = out.get((a, b), 0) + c * d
+    return out

@@ -16,10 +16,13 @@ from branchkit import (
     query,
     validate_stable_range,
 )
+from branchkit import lr
 from branchkit.lr import lr_coeff
 from branchkit.branching import (
     PAIR_IDS,
     PAIRS,
+    _even_weights,
+    _split,
     decompose_range_violations,
     diagonal_gl_sum,
     diagonal_onsp_sum,
@@ -29,6 +32,8 @@ from branchkit.branching import (
 )
 from branchkit.errors import InvalidLabel, StableRangeViolation, UnknownPair
 from branchkit.partitions import GLLabel, partitions_up_to
+from branchkit.verify import gl_labels
+from bruteforce import even_weights, skew_coproduct, sub_partitions
 
 E = ()
 
@@ -434,12 +439,82 @@ def test_decompose_map_matches_single_queries():
             assert branching_multiplicity(q) == dec.get(key, 0), (pair, key)
 
 
+def test_per_cell_sums_match_the_decomposition_maps():
+    # branching_multiplicity answers one cell through a second
+    # transcription of the rule (the per-cell sums): hold it against
+    # branch_decompose's entry, zeros included, on every gl-sum cell with
+    # labels of size <= 4 and every gl-diag cell with labels of size <= 3,
+    # each at the cell's stable rank
+    cells = 0
+    labels = gl_labels(4)
+    for big in labels:
+        dec = branch_decompose("gl-sum", big)
+        for mu in labels:
+            for nu in labels:
+                n = stable_rank("gl-sum", big, (mu, nu))
+                q = query("gl-sum", (n, n), big, [mu, nu])
+                assert branching_multiplicity(q) == dec.get((mu, nu), 0), q
+                cells += 1
+    labels = gl_labels(3)
+    maps = {}
+    for mu in labels:
+        for nu in labels:
+            for lam in labels:
+                n = stable_rank("gl-diag", lam, (mu, nu))
+                if n == inf:
+                    continue
+                if (mu, nu, n) not in maps:
+                    maps[mu, nu, n] = branch_decompose("gl-diag", (mu, nu),
+                                                       (n,))
+                q = query("gl-diag", (n,), lam, [mu, nu])
+                assert (branching_multiplicity(q)
+                        == maps[mu, nu, n].get(lam, 0)), q
+                cells += 1
+    assert cells == 58_677  # 54,872 gl-sum and 3,805 gl-diag cells
+
+
+@pytest.mark.parametrize("mode", ["rows", "columns"])
+def test_even_weights_expand_only_the_even_skew_shapes(mode):
+    # outer/2δ for each even 2δ, against one search of outer/α for every α
+    # that keeps the even contents
+    for outer in partitions_up_to(8):
+        assert _even_weights(outer, mode) == even_weights(outer, mode), outer
+
+
+def test_split_is_the_coproduct_of_the_skew_shape():
+    # Σ_τ s_{λ/τ} ⊗ s_{τ/δ} against Σ_γ c^λ_{δγ} Δ(s_γ)
+    for outer in partitions_up_to(7):
+        for delta in sub_partitions(outer):
+            assert (_split(outer, delta)
+                    == skew_coproduct(outer, delta)), (outer, delta)
+
+
+# the skew expansions a cold branch_decompose runs on perfbench's
+# decompose-large labels, counted as memo entries: more work on these
+# labels fails here.  Splitting every γ ⊆ λ by a full coproduct, after one
+# search of λ/α for every α, ran 2,290, 3,487, 594, 1,685, 2,610, 162
+# and 83.
+@pytest.mark.parametrize("pair, big, ranks, entries", [
+    ("o-sum", (5, 4, 3, 2, 1), (32, 32), 866),
+    ("sp-sum", (6, 4, 3, 2, 1), (16, 16), 1176),
+    ("gl-sum", L((4, 3, 2, 1), (3, 2, 1)), (16, 16), 428),
+    ("gl-in-o", (6, 4, 3, 2), (8,), 713),
+    ("gl-in-sp", (5, 5, 3, 2, 1), (10,), 1006),
+    ("o-in-gl", L((5, 4, 3), (4, 3)), (40,), 146),
+    ("sp-in-gl", L((4, 3, 2, 1), (3, 2)), (15,), 67),
+])
+def test_a_cold_decomposition_fills_a_pinned_number_of_memo_entries(
+        pair, big, ranks, entries):
+    lr.clear_cache()
+    branch_decompose(pair, big, ranks)
+    assert lr.cache_size() == entries
+
+
 def test_results_deterministic_under_threads():
     # caches are shared dicts of immutable values; concurrent use may
     # duplicate work but never change an answer
     from concurrent.futures import ThreadPoolExecutor
 
-    from branchkit import lr
     from branchkit.partitions import partitions_up_to
 
     triples = []

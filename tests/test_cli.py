@@ -252,6 +252,23 @@ def test_lines_appended_by_another_run_survive_the_save(
     assert set(keys_of(data)) >= set(keys_of(theirs))
 
 
+def test_an_append_after_a_last_line_without_its_newline_starts_a_line(
+        tmp_path, monkeypatch, capsys):
+    # a hand edit can drop the file's last newline; the next append must
+    # not be glued onto that line, or the run after it refuses the file
+    cache = tmp_path / "lr-cache.txt"
+    monkeypatch.setenv("BRANCHKIT_CACHE", str(cache))
+    assert run_fresh(capsys, *LR_321)[0] == 0
+    cache.write_bytes(cache.read_bytes().rstrip(b"\n"))
+    for argv in (DECOMPOSE_O, DECOMPOSE_SP):
+        code, _, err = run_fresh(capsys, *argv)
+        assert code == 0 and err == ""
+    memo_keys = set(lr._SKEW_CACHE)
+    assert set(keys_of(cache.read_bytes())) == memo_keys
+    code, _, err = run_fresh(capsys, *LR_321)
+    assert code == 0 and err == ""
+
+
 @pytest.mark.parametrize("content", [
     b"3.2.1|2.1|2.1:7,3:1\n",  # the format before checksums, and wrong
     b"\xff\xfe not a cache file\n",

@@ -170,10 +170,15 @@ def test_the_check_sees_candidate_enumeration():
 def test_decompositions_enumerate_no_candidate_labels():
     """branch_decompose expands each rule's sum from the big side: it
     neither enumerates candidate small labels (partitions_of) nor
-    evaluates a per-cell sum for each, so its cost follows its output."""
+    evaluates a per-cell sum for each, so its cost follows its output.
+    Its even weights and its direct-sum and polarization splits run over
+    the even 2δ ⊆ λ alone: it runs no skew expansion only to keep its
+    even contents (even_row_sum, even_column_sum)."""
     source = (SRC / "branching.py").read_text(encoding="utf-8")
     reached = names_reached(source, "branch_decompose")
-    assert not reached & (PER_CELL_SUMS | {"partitions_of"}), reached
+    banned = PER_CELL_SUMS | {"partitions_of", "even_row_sum",
+                              "even_column_sum"}
+    assert not reached & banned, reached & banned
 
 
 def test_the_direct_sum_oracle_tries_no_candidate_weights():
