@@ -321,7 +321,7 @@ def diagonal_gl_sum(
                         for a2, c6 in skew_expand(nu.plus, g2).items():
                             if len(a2) > r:
                                 continue
-                            c1 = lr_coeff(lam.plus, a2, a1)
+                            c1 = skew_expand(lam.plus, a1).get(a2, 0)
                             if c1:
                                 total += c1 * c2 * c3 * c4 * c5 * c6
     return total
@@ -586,7 +586,10 @@ def branch_decompose(pair: str, big, ranks=None, bound: int | None = None) -> di
             torus_rank(rule.small, ranks[0]))
     elif rule.kind == "sum" and rule.big == "GL":
         # δ cancels between λ+ and λ-; the rest of each splits between factors
+        size = big.total_size()
         for delta in subpartitions(meet(big.plus, big.minus)):
+            if size - 2 * sum(delta) > 2 * limit:  # some factor exceeds it
+                continue
             minus = _split(big.minus, delta)
             for (mp, np_), cp in _split(big.plus, delta).items():
                 for (mm, nm), cm in minus.items():
@@ -596,6 +599,8 @@ def branch_decompose(pair: str, big, ranks=None, bound: int | None = None) -> di
     elif rule.kind == "sum":
         # λ/2δ splits between the factors, for each even 2δ
         for two_delta in _evens(big, rule.even):
+            if sum(big) - sum(two_delta) > 2 * limit:  # some factor exceeds it
+                continue
             for (mu, nu), c in _split(big, two_delta).items():
                 if max(sum(mu), sum(nu)) <= limit:
                     out[mu, nu] += c
@@ -603,6 +608,8 @@ def branch_decompose(pair: str, big, ranks=None, bound: int | None = None) -> di
         # as the sum rules, with λ/2δ split into μ+ and μ-
         cap = ranks[0] // 2
         for two_delta in _evens(big, rule.even):
+            if sum(big) - sum(two_delta) > limit:
+                continue
             for (mp, mm), c in _split(big, two_delta).items():
                 if sum(mp + mm) <= limit and max(len(mp), len(mm)) <= cap:
                     out[GLLabel(mp, mm)] += c

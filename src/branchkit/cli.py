@@ -22,7 +22,10 @@ was no file, or the load refused it, the save writes the whole memo to a
 temporary file and renames it over the old one; a file from before the
 checksums is refused once and rewritten so.  A cache file that cannot be
 read, parsed or written, or whose line fails its checksum, draws a warning
-on stderr and is ignored; the exit code stays the command's own.
+on stderr and is ignored; the exit code stays the command's own.  lr
+searches its one coefficient without the memo (lr.lr_coeff), so it
+neither reads nor adds lines; a line with a valid checksum and a wrong
+value can still change what branch and decompose print.
 """
 
 from __future__ import annotations

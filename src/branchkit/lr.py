@@ -20,9 +20,15 @@ c^λ_{μν} = c^{ν∨}_{μ,λ∨}, where p∨ is the complement of p in a box o
 Fulton, Young Tableaux, §9.4): the contents of ν∨/μ are the complements
 of every λ in s_μ · s_ν.
 
-All results are cached.  The caches are plain dicts holding immutable
-values: under concurrent use the worst case is recomputing an entry, never
-an inconsistent one.
+A single coefficient c^λ_{μν} (ν the smaller factor) runs the same
+search on λ/μ bounded by its content: a branch that places more than ν₁
+ones, or a value above ℓ(ν), is cut at that cell.  The bound enters
+through two values the search reads anyway, the sentinel counts[0] and
+each row's largest value, so the search runs the same instructions with
+or without it.  That result is partial and is not memoized; every
+complete skew expansion is.  The memo is a plain dict holding
+immutable values: under concurrent use the worst case is recomputing an
+entry, never an inconsistent one.
 """
 
 from __future__ import annotations
@@ -37,33 +43,42 @@ _INF = 10 ** 9
 _SKEW_CACHE: dict[tuple[Partition, Partition], dict[Partition, int]] = {}
 
 
-def _skew_fillings(outer: Partition, inner: Partition) -> dict[Partition, int]:
-    """Count lattice fillings of outer/inner, grouped by content."""
+def _skew_fillings(outer: Partition, inner: Partition,
+                   within: Partition | None = None) -> dict[Partition, int]:
+    """Count lattice fillings of outer/inner, grouped by content.
+
+    With ``within``, a nonempty partition, only the contents κ with
+    ℓ(κ) <= ℓ(within) and κ₁ <= within₁ are searched and returned.
+    """
     rows = len(outer)
+    depth = rows if within is None else len(within)
     inner_padded = tuple(inner) + (0,) * (rows - len(inner))
     table = [[0] * n for n in outer]
     # per cell, in filling order: its row, column, the row above (None when
     # the cell above is in inner), whether a cell lies to its right, and
-    # r+1, the largest value a lattice word allows in row r.  Every cell
-    # read (right and above) comes earlier in that order, so it always
-    # holds the value of the current branch and needs no reset.
+    # the largest value row r may hold: r+1, as a lattice word allows, or
+    # ℓ(within) if less.  Every cell read (right and above) comes earlier
+    # in that order, so it always holds the value of the current branch and
+    # needs no reset.
     cells = []
     for r in range(rows):
+        top = r + 1 if r < depth else depth
         for c in range(outer[r] - 1, inner_padded[r] - 1, -1):
             above = table[r - 1] if r and c >= inner_padded[r - 1] else None
-            cells.append((table[r], c, above, c + 1 < outer[r], r + 1))
+            cells.append((table[r], c, above, c + 1 < outer[r], top))
     if not cells:
         return {(): 1}
 
     # counts[v] is how often v has been placed; the sentinel counts[0] lets
-    # value 1 pass the lattice test counts[v-1] > counts[v]
-    counts = [_INF] + [0] * (rows + 1)
+    # value 1 pass the lattice test counts[v-1] > counts[v] at most within₁
+    # times, or always when there is no bound
+    counts = [_INF if within is None else within[0]] + [0] * (rows + 1)
     leaves: dict[tuple[int, ...], int] = {}
     last = len(cells) - 1
 
     def fill(i: int):
         row, c, above, has_right, top = cells[i]
-        hi = row[c + 1] if has_right else top  # row[c+1] <= r+1 already
+        hi = row[c + 1] if has_right else top  # row[c+1] <= top already
         lo = 1 if above is None else above[c] + 1
         if i == last:  # count the leaves here, without a call each
             for v in range(lo, hi + 1):
@@ -109,15 +124,18 @@ def lr_coeff(lam: Partition, mu: Partition, nu: Partition) -> int:
     """The Littlewood-Richardson coefficient c^λ_{μν}.
 
     Zero unless |λ| = |μ| + |ν| and both μ and ν fit inside λ.  The search
-    runs over the skew shape left by the larger of μ, ν, which keeps the
-    tableau count (and the shared cache) small.
+    runs over the skew shape left by the larger of μ, ν, and only over
+    contents that fit the smaller one's first row and length; it reads and
+    fills no memo.
     """
     if sum(lam) != sum(mu) + sum(nu):
         return 0
     if not contains(lam, mu) or not contains(lam, nu):
         return 0
-    inner, content = (mu, nu) if (sum(mu), mu) >= (sum(nu), nu) else (nu, mu)
-    return skew_expand(lam, inner).get(content, 0)
+    larger, smaller = (mu, nu) if (sum(mu), mu) >= (sum(nu), nu) else (nu, mu)
+    if not smaller:
+        return int(lam == larger)
+    return _skew_fillings(lam, larger, smaller).get(smaller, 0)
 
 
 def lr_count_direct(lam: Partition, mu: Partition, nu: Partition) -> int:

@@ -332,6 +332,8 @@ class TestBranchDecompose:
             ("gl-in-sp", (2, 2, 1), (4,)),
             ("o-in-gl", L((2, 2)), (12,)),
             ("sp-in-gl", L((2, 1), (1, 1)), (4,)),
+            ("sp-sum", (6, 4, 3, 2, 1), None),
+            ("gl-in-sp", (5, 5, 3, 2, 1), (10,)),
         ]:
             full = branch_decompose(pair, big, ranks)
             assert max(size(k) for k in full) > 3, pair
@@ -510,9 +512,22 @@ def test_a_cold_decomposition_fills_a_pinned_number_of_memo_entries(
     assert lr.cache_size() == entries
 
 
+def test_a_bound_skips_the_removed_shapes_that_leave_too_much():
+    # a 2δ that leaves more than the factors may hold is never split: the
+    # bound-2 sp-sum call fills 23 memo entries against the unbounded
+    # call's 1,176 above, and the bound-2 gl-in-sp call none
+    lr.clear_cache()
+    assert len(branch_decompose("sp-sum", (6, 4, 3, 2, 1), None, 2)) == 4
+    assert lr.cache_size() == 23
+    lr.clear_cache()
+    assert branch_decompose("gl-in-sp", (5, 5, 3, 2, 1), (10,), 2) == {}
+    assert lr.cache_size() == 0
+
+
 def test_results_deterministic_under_threads():
-    # caches are shared dicts of immutable values; concurrent use may
-    # duplicate work but never change an answer
+    # the memo is a shared dict of immutable values; concurrent use may
+    # duplicate work but never change an answer.  lr_coeff reads no memo,
+    # so each triple is also read from its memoized skew expansion
     from concurrent.futures import ThreadPoolExecutor
 
     from branchkit.partitions import partitions_up_to
@@ -523,10 +538,15 @@ def test_results_deterministic_under_threads():
             for nu in partitions_up_to(sum(lam) - sum(mu)):
                 if sum(mu) + sum(nu) == sum(lam):
                     triples.append((lam, mu, nu))
-    serial = [lr_coeff(*t) for t in triples]
+    def both(t):
+        lam, mu, nu = t
+        return lr_coeff(*t), lr.skew_expand(lam, mu).get(nu, 0)
+
+    serial = [both(t) for t in triples]
+    assert all(a == b for a, b in serial)
     lr.clear_cache()
     with ThreadPoolExecutor(max_workers=8) as pool:
-        parallel = list(pool.map(lambda t: lr_coeff(*t), triples))
+        parallel = list(pool.map(both, triples))
     assert parallel == serial
 
 

@@ -130,49 +130,12 @@ def test_tsv_format(capsys):
     assert "result\t1" in out.splitlines()
 
 
-def test_cache_env_roundtrip(tmp_path, monkeypatch, capsys):
-    cache = tmp_path / "lr-cache.txt"
-    monkeypatch.setenv("BRANCHKIT_CACHE", str(cache))
-    code, out, _ = run_cli(capsys, "lr", "--outer", "[3,2,1]",
-                           "--left", "[2,1]", "--right", "[2,1]")
-    assert code == 0
-    assert cache.exists() and cache.read_text().strip()
-    code, out, _ = run_cli(capsys, "lr", "--outer", "[3,2,1]",
-                           "--left", "[2,1]", "--right", "[2,1]")
-    assert code == 0 and json.loads(out)["result"] == 2
-
-
-def test_unparsable_cache_is_ignored(tmp_path, monkeypatch, capsys):
-    from branchkit import lr
-
-    # the first line parses but holds a wrong value; the file is loaded
-    # all together or not at all, so it must not reach the memo either
-    cache = tmp_path / "lr-cache.txt"
-    cache.write_text("3.2.1|2.1|2.1:7,3:1\n3.2.1|2.1|garbage\n")
-    monkeypatch.setenv("BRANCHKIT_CACHE", str(cache))
-    lr.clear_cache()
-    code, out, err = run_cli(capsys, "lr", "--outer", "[3,2,1]",
-                             "--left", "[2,1]", "--right", "[2,1]")
-    assert code == 0 and json.loads(out)["result"] == 2
-    assert err.startswith("warning:")
-
-
-def test_unwritable_cache_keeps_exit_code(tmp_path, monkeypatch, capsys):
-    cache = tmp_path / "missing-dir" / "lr-cache.txt"
-    monkeypatch.setenv("BRANCHKIT_CACHE", str(cache))
-    code, out, err = run_cli(capsys, "lr", "--outer", "[3,2,1]",
-                             "--left", "[2,1]", "--right", "[2,1]")
-    assert code == 0 and json.loads(out)["result"] == 2
-    assert err.startswith("warning:")
-    assert not (tmp_path / "missing-dir").exists()
-    code, _, err = run_cli(capsys, "branch", "--pair", "o-diag", "-n", "3",
-                           "--big", "[1]", "--small", "[1]", "[1]")
-    assert code == 2
-    assert "warning:" in err and "2.1.2" in err
-
-
 LR_321 = ("lr", "--outer", "[3,2,1]", "--left", "[2,1]", "--right", "[2,1]")
-# each needs expansions that the file written by LR_321 lacks
+# lr reads and fills no memo; this query reads c^{321}_{21,21} = 2 from the
+# memo's expansion of (3,2,1)/(2,1), and its answer is that coefficient
+BRANCH_321 = ("branch", "--pair", "o-diag", "-n", "12", "--big", "[3,2,1]",
+              "--small", "[2,1]", "[2,1]")
+# each needs expansions that the file written by BRANCH_321 lacks
 DECOMPOSE_O = ("decompose", "--pair", "o-diag", "-n", "12", "--mu", "[2,1]",
                "--nu", "[2]")
 DECOMPOSE_SP = ("decompose", "--pair", "gl-in-sp", "-n", "8", "--big", "[2,2]")
@@ -191,13 +154,48 @@ def keys_of(data: bytes) -> list:
     return list(lr.load_cache_lines(io.StringIO(data.decode())))
 
 
+def test_cache_env_roundtrip(tmp_path, monkeypatch, capsys):
+    cache = tmp_path / "lr-cache.txt"
+    monkeypatch.setenv("BRANCHKIT_CACHE", str(cache))
+    code, out, _ = run_fresh(capsys, *BRANCH_321)
+    assert code == 0
+    assert cache.exists() and cache.read_text().strip()
+    code, out, _ = run_fresh(capsys, *BRANCH_321)
+    assert code == 0 and json.loads(out)["result"] == 2
+
+
+def test_unparsable_cache_is_ignored(tmp_path, monkeypatch, capsys):
+    # the first line parses but holds a wrong value; the file is loaded
+    # all together or not at all, so it must not reach the memo either
+    cache = tmp_path / "lr-cache.txt"
+    cache.write_text("3.2.1|2.1|2.1:7,3:1\n3.2.1|2.1|garbage\n")
+    monkeypatch.setenv("BRANCHKIT_CACHE", str(cache))
+    code, out, err = run_fresh(capsys, *BRANCH_321)
+    assert code == 0 and json.loads(out)["result"] == 2
+    assert err.startswith("warning:")
+
+
+def test_unwritable_cache_keeps_exit_code(tmp_path, monkeypatch, capsys):
+    cache = tmp_path / "missing-dir" / "lr-cache.txt"
+    monkeypatch.setenv("BRANCHKIT_CACHE", str(cache))
+    code, out, err = run_cli(capsys, "lr", "--outer", "[3,2,1]",
+                             "--left", "[2,1]", "--right", "[2,1]")
+    assert code == 0 and json.loads(out)["result"] == 2
+    assert err.startswith("warning:")
+    assert not (tmp_path / "missing-dir").exists()
+    code, _, err = run_cli(capsys, "branch", "--pair", "o-diag", "-n", "3",
+                           "--big", "[1]", "--small", "[1]", "[1]")
+    assert code == 2
+    assert "warning:" in err and "2.1.2" in err
+
+
 def test_a_command_that_adds_nothing_leaves_the_cache_file_alone(
         tmp_path, monkeypatch, capsys):
     cache = tmp_path / "lr-cache.txt"
     monkeypatch.setenv("BRANCHKIT_CACHE", str(cache))
-    assert run_fresh(capsys, *LR_321)[0] == 0
+    assert run_fresh(capsys, *BRANCH_321)[0] == 0
     before, stat = cache.read_bytes(), cache.stat()
-    for argv, expected in ((LR_321, 0), (OUT_OF_RANGE, 2)):
+    for argv, expected in ((BRANCH_321, 0), (LR_321, 0), (OUT_OF_RANGE, 2)):
         code, out, err = run_fresh(capsys, *argv)
         assert code == expected and "warning" not in err
     # not even rewritten with the same bytes: the file is the same one
@@ -210,7 +208,7 @@ def test_a_command_appends_only_the_keys_the_file_lacked(
         tmp_path, monkeypatch, capsys):
     cache = tmp_path / "lr-cache.txt"
     monkeypatch.setenv("BRANCHKIT_CACHE", str(cache))
-    assert run_fresh(capsys, *LR_321)[0] == 0
+    assert run_fresh(capsys, *BRANCH_321)[0] == 0
     assert run_fresh(capsys, *DECOMPOSE_O)[0] == 0
     before = cache.read_bytes()
     inode = cache.stat().st_ino
@@ -233,7 +231,7 @@ def test_lines_appended_by_another_run_survive_the_save(
 
     cache = tmp_path / "lr-cache.txt"
     monkeypatch.setenv("BRANCHKIT_CACHE", str(cache))
-    assert run_fresh(capsys, *LR_321)[0] == 0
+    assert run_fresh(capsys, *BRANCH_321)[0] == 0
     assert run_fresh(capsys, *DECOMPOSE_SP)[0] == 0
     theirs = cache.read_bytes()
     cache.write_bytes(theirs[:theirs.index(b"\n") + 1])
@@ -258,14 +256,14 @@ def test_an_append_after_a_last_line_without_its_newline_starts_a_line(
     # not be glued onto that line, or the run after it refuses the file
     cache = tmp_path / "lr-cache.txt"
     monkeypatch.setenv("BRANCHKIT_CACHE", str(cache))
-    assert run_fresh(capsys, *LR_321)[0] == 0
+    assert run_fresh(capsys, *BRANCH_321)[0] == 0
     cache.write_bytes(cache.read_bytes().rstrip(b"\n"))
     for argv in (DECOMPOSE_O, DECOMPOSE_SP):
         code, _, err = run_fresh(capsys, *argv)
         assert code == 0 and err == ""
     memo_keys = set(lr._SKEW_CACHE)
     assert set(keys_of(cache.read_bytes())) == memo_keys
-    code, _, err = run_fresh(capsys, *LR_321)
+    code, _, err = run_fresh(capsys, *BRANCH_321)
     assert code == 0 and err == ""
 
 
@@ -280,16 +278,30 @@ def test_a_refused_cache_file_is_rewritten_whole_once(
     cache = tmp_path / "lr-cache.txt"
     cache.write_bytes(content)
     monkeypatch.setenv("BRANCHKIT_CACHE", str(cache))
-    code, out, err = run_fresh(capsys, *LR_321)
+    code, out, err = run_fresh(capsys, *BRANCH_321)
     assert code == 0 and json.loads(out)["result"] == 2
     assert err.startswith("warning: ignoring cache file")
     assert err.count("\n") == 1
+    filled = set(lr._SKEW_CACHE)
+    assert ((3, 2, 1), (2, 1)) in filled
     rewritten = cache.read_bytes()
     assert content not in rewritten
-    assert keys_of(rewritten) == [((3, 2, 1), (2, 1))]
-    code, out, err = run_fresh(capsys, *LR_321)
+    assert set(keys_of(rewritten)) == filled
+    code, out, err = run_fresh(capsys, *BRANCH_321)
     assert code == 0 and json.loads(out)["result"] == 2 and err == ""
     assert cache.read_bytes() == rewritten
+
+
+def test_a_poisoned_cache_line_leaves_lr_at_its_true_value(
+        tmp_path, monkeypatch, capsys):
+    # the line's checksum holds, so the load takes its wrong value; lr
+    # searches its one coefficient and never reads the memo
+    cache = tmp_path / "lr-cache.txt"
+    cache.write_text("3.2.1|2.1|2.1:7,3:1|18830469\n")
+    monkeypatch.setenv("BRANCHKIT_CACHE", str(cache))
+    code, out, err = run_fresh(capsys, *LR_321)
+    assert lr._SKEW_CACHE[(3, 2, 1), (2, 1)] == {(2, 1): 7, (3,): 1}
+    assert code == 0 and json.loads(out)["result"] == 2 and err == ""
 
 
 def test_an_append_spliced_into_another_is_refused_or_true(
@@ -298,7 +310,7 @@ def test_an_append_spliced_into_another_is_refused_or_true(
     # run's block at every byte offset of the other's
     cache = tmp_path / "lr-cache.txt"
     monkeypatch.setenv("BRANCHKIT_CACHE", str(cache))
-    assert run_fresh(capsys, *LR_321)[0] == 0
+    assert run_fresh(capsys, *BRANCH_321)[0] == 0
     base = cache.read_bytes()
     blocks = []
     for argv in (DECOMPOSE_O, DECOMPOSE_SP):
@@ -560,8 +572,8 @@ def test_closed_stdout_exits_four_and_still_writes_the_cache(
     cache = tmp_path / "lr-cache.txt"
     monkeypatch.setenv("BRANCHKIT_CACHE", str(cache))
     monkeypatch.setattr(sys, "stdout", _ClosedPipe())
-    code = main(["lr", "--outer", "[3,2,1]", "--left", "[2,1]",
-                 "--right", "[2,1]"])
+    lr.clear_cache()
+    code = main(list(BRANCH_321))
     assert code == EXIT_BROKEN_PIPE == 4
     assert capsys.readouterr().err == ""
     assert "3.2.1|2.1|" in cache.read_text()

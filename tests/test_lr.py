@@ -8,6 +8,7 @@ from branchkit import littlewood_restriction, lr_coeff, skew_expand, tensor_expa
 from branchkit.lr import (
     _SKEW_CACHE,
     _skew_fillings,
+    cache_size,
     clear_cache,
     dump_cache_lines,
     even_column_sum,
@@ -64,12 +65,19 @@ def test_skew_expand_matches_naive():
 def test_skew_fillings_match_the_row_by_row_reference():
     # the reference fills whole semistandard rows and tests the lattice
     # condition only on the finished word: no lattice pruning, no shared
-    # kernel
+    # kernel.  A content bound w keeps the contents κ with ℓ(κ) <= ℓ(w)
+    # and κ₁ <= w₁: each content of the shape and one that is none
     for outer in partitions_up_to(9):
         for inner in partitions_up_to(sum(outer)):
-            if contains(outer, inner):
-                assert _skew_fillings(outer, inner) == \
-                    lr_fillings_by_content(outer, inner), (outer, inner)
+            if not contains(outer, inner):
+                continue
+            reference = lr_fillings_by_content(outer, inner)
+            assert _skew_fillings(outer, inner) == reference, (outer, inner)
+            for w in [*reference, (1,) * (sum(outer) - sum(inner) + 1)]:
+                assert _skew_fillings(outer, inner, w) == {
+                    kappa: n for kappa, n in reference.items()
+                    if len(kappa) <= len(w) and kappa[:1] <= w[:1]
+                }, (outer, inner, w)
 
 
 def test_skew_expand_key_order_is_the_search_order():
@@ -200,15 +208,23 @@ def test_even_sums_and_dot():
     assert expansion_dot({(1,): 2, (2,): 3}, {(2,): 5}) == 15
 
 
+def test_lr_coeff_fills_no_memo():
+    clear_cache()
+    lam, mu, nu = (6, 5, 4, 3, 2, 1), (5, 4, 3, 2, 1), (3, 2, 1)
+    assert lr_coeff(lam, mu, nu) == lr_count_direct(lam, mu, nu) > 0
+    assert lr_coeff(lam, nu, mu) == lr_count_direct(lam, nu, mu) > 0
+    assert cache_size() == 0
+
+
 def test_cache_roundtrip():
-    lr_coeff((3, 2, 1), (2, 1), (2, 1))
+    skew_expand((3, 2, 1), (2, 1))
     lines = list(dump_cache_lines())
     assert lines
     keys = set(_SKEW_CACHE)
     clear_cache()
     assert load_cache_lines(lines) == keys == set(_SKEW_CACHE)
     assert len(keys) == len(lines)
-    assert lr_coeff((3, 2, 1), (2, 1), (2, 1)) == 2
+    assert skew_expand((3, 2, 1), (2, 1)) == {(3,): 1, (2, 1): 2, (1, 1, 1): 1}
 
 
 def test_public_skew_expand_is_read_only():

@@ -85,3 +85,10 @@ def test_cells_beyond_the_cap_are_compared_at_the_support_rank(monkeypatch):
     for m in run_grid("sp-diag", 2).mismatches:
         ranks.setdefault(m["context"][2], set()).add(m["context"][1])
     assert max(map(len, ranks.values())) > 1
+
+
+def test_lr_spot_checks_agree_on_500_coefficients():
+    # the pruned single-coefficient search against the unpruned one in
+    # both factor orders, on shapes up to |λ| = 14
+    report = verify.run_lr_spot_checks(500)
+    assert report.ok and report.cases == 500, report.mismatches[:5]
