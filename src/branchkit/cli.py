@@ -8,8 +8,8 @@ Exit codes: 0 success, 1 usage or parse error, 2 stable-range violation,
 ``branchkit verify | head -1``); the rest of the output is dropped
 without a traceback.
 
-verify runs each grid at the acceptance suite's cap, verify.DEFAULT_MAX_SIZE
-(6, or 5 for gl-diag and gl-sum), unless --max-size sets one cap for all.
+verify runs each grid at the acceptance suite's cap for it, read from
+verify.DEFAULT_MAX_SIZE, unless --max-size sets one cap for all.
 selftest is verify --pair all --max-size 2, then a PASS or FAIL line.
 
 If BRANCHKIT_CACHE names a file, the Littlewood-Richardson memo is loaded

@@ -14,11 +14,12 @@ tuple of value counts.  Each distinct key becomes its content once, at
 the end; the counts of a lattice word form a partition, so the content is
 the key up to its first zero.
 
-That search is the only one.  Products use it through the box identity
-c^λ_{μν} = c^{ν∨}_{μ,λ∨}, where p∨ is the complement of p in a box of
-ℓ(μ)+ℓ(ν) rows and μ₁+ν₁ columns, rotated by 180° (Grassmannian duality;
-Fulton, Young Tableaux, §9.4): the contents of ν∨/μ are the complements
-of every λ in s_μ · s_ν.
+That search is the only one.  Products use it on the skew shape of μ and
+ν placed corner to corner, μ to the upper right of ν, whose skew Schur
+function is s_μ · s_ν (Macdonald, Symmetric Functions and Hall
+Polynomials, I.5): its contents are the constituents λ themselves.  The
+rows of μ, the larger factor, are filled first and admit only one
+lattice filling (row i all i), so the search branches only on ν's cells.
 
 A single coefficient c^λ_{μν} (ν the smaller factor) runs the same
 search on λ/μ bounded by its content: a branch that places more than ν₁
@@ -151,24 +152,22 @@ def tensor_expand(
     """Decomposition of the product s_μ · s_ν: {λ -> c^λ_{μν} > 0}, keeping
     the λ with at most ``max_length`` parts.
 
-    Every such λ fits in the box of ℓ(μ)+ℓ(ν) rows (at most max_length)
-    and μ₁+ν₁ columns, where c^λ_{μν} = c^{ν∨}_{μ,λ∨} with p∨ the box
-    complement of p rotated by 180°.  So one skew expansion of ν∨/μ gives
-    every λ at once, as the complement of its content.
+    The product is the skew expansion of μ and ν placed corner to corner,
+    the larger factor μ above and to the right: outer (ν₁+μ₁, …,
+    ν₁+μ_ℓ(μ), ν₁, …, ν_ℓ(ν)) and inner (ν₁^ℓ(μ)).  Both argument orders
+    read one memo entry, returned as a copy.  A cap below ℓ(μ)+ℓ(ν) cuts
+    values above it in the search; that result is not memoized.
     """
-    rows = len(mu) + len(nu)
-    if max_length is not None:
-        rows = min(rows, max_length)
-    if len(mu) > rows or len(nu) > rows:
+    if max_length is not None and max(len(mu), len(nu)) > max_length:
         return {}
-    width = (mu[0] if mu else 0) + (nu[0] if nu else 0)
-
-    def complement(p: Partition) -> Partition:
-        return ((width,) * (rows - len(p))
-                + tuple(width - x for x in reversed(p) if x < width))
-
-    return {complement(kappa): c
-            for kappa, c in skew_expand(complement(nu), mu).items()}
+    if (sum(mu), mu) < (sum(nu), nu):
+        mu, nu = nu, mu
+    width = nu[0] if nu else 0
+    outer = tuple(width + x for x in mu) + nu
+    inner = (width,) * len(mu) if nu else ()
+    if max_length is None or max_length >= len(outer):
+        return dict(skew_expand(outer, inner))
+    return _skew_fillings(outer, inner, (outer[0],) * max_length)
 
 
 def even_row_sum(expansion: dict[Partition, int]) -> int:

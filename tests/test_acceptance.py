@@ -47,6 +47,13 @@ def _report(name: str, ok: bool, detail: str):
 # Criterion 1: formula equals oracle on exhaustive grids, one per rule
 
 
+# every grid cell at DEFAULT_MAX_SIZE, so a grid that loses cells shows
+GRID_CASES = {"gl-diag": 266_901, "o-diag": 27_000, "sp-diag": 27_000,
+              "gl-sum": 2_685_619, "o-sum": 91_125, "sp-sum": 91_125,
+              "gl-in-o": 11_205, "gl-in-sp": 11_205, "o-in-gl": 11_205,
+              "sp-in-gl": 11_205}
+
+
 @pytest.mark.parametrize("pair", PAIR_IDS)
 def test_criterion_1_formula_vs_oracle(pair):
     report = run_grid(pair, DEFAULT_MAX_SIZE[pair])
@@ -55,7 +62,7 @@ def test_criterion_1_formula_vs_oracle(pair):
         f"{report.cases} cases at size <= {DEFAULT_MAX_SIZE[pair]}, "
         f"{len(report.mismatches)} mismatches, {report.elapsed_ms} ms")
     assert report.ok, report.mismatches[:5]
-    assert report.cases > 1000
+    assert report.cases == GRID_CASES[pair]
 
 
 # --------------------------------------------------------------------------

@@ -510,7 +510,7 @@ def test_verify_all_at_a_small_cap(capsys):
 def test_verify_runs_the_library_caps_by_default(capsys):
     code, out, _ = run_cli(capsys, "verify", "--pair", "o-sum")
     assert code == 0
-    assert out == "o-sum: 27000 cases, ok\n"
+    assert out == "o-sum: 91125 cases, ok\n"
 
 
 def test_verify_all_passes_no_cap_to_the_grids(capsys, monkeypatch):

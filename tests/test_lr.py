@@ -109,7 +109,7 @@ def test_tensor_expand_examples():
 
 
 def test_tensor_expand_matches_single_coefficients_exhaustive():
-    # lr_coeff searches λ/μ (or λ/ν), never the complement shape ν∨/μ
+    # lr_coeff searches λ/μ (or λ/ν), never the corner-to-corner shape
     shapes = list(partitions_up_to(5))
     for mu in shapes:
         for nu in shapes:
@@ -122,15 +122,26 @@ def test_tensor_expand_matches_single_coefficients_exhaustive():
                 assert tensor_expand(mu, nu, cap) == expected, (mu, nu, cap)
 
 
-def test_tensor_expand_searches_the_least_box():
-    # ℓ(μ)+ℓ(ν) rows (at most the cap) and μ₁+ν₁ columns hold every
-    # constituent; a larger box gives the same product from a larger search
+def test_tensor_expand_searches_the_corner_to_corner_shape():
+    # the larger factor sits above and to the right of the smaller one, so
+    # both argument orders read one expansion; a binding cap fills no memo
     clear_cache()
     tensor_expand((2, 1), (1,))
-    assert set(_SKEW_CACHE) == {((3, 3, 2), (2, 1))}
+    tensor_expand((1,), (2, 1))
+    assert set(_SKEW_CACHE) == {((3, 2, 1), (1, 1))}
     clear_cache()
     tensor_expand((2, 1), (1,), max_length=2)
-    assert set(_SKEW_CACHE) == {((3, 2), (2, 1))}
+    assert not _SKEW_CACHE
+
+
+@pytest.mark.parametrize("cap", range(4, 10))
+def test_binding_caps_on_a_large_product(cap):
+    # the exhaustive test above stops at |μ|, |ν| <= 5 and caps <= 4
+    mu, nu = (5, 4, 3, 2, 1), (4, 3, 2, 1)
+    full = tensor_expand(mu, nu)
+    expected = {lam: c for lam, c in full.items() if len(lam) <= cap}
+    assert tensor_expand(mu, nu, cap) == expected
+    assert tensor_expand(nu, mu, cap) == expected
 
 
 def _standard_tableaux(p):

@@ -215,9 +215,9 @@ def test_the_tensor_oracle_expands_no_weight_system():
 
 
 def test_products_read_one_skew_expansion():
-    """tensor_expand reads its whole product from one skew expansion in
-    the box complement: it neither enumerates candidate constituents nor
-    evaluates a coefficient for each."""
+    """tensor_expand reads its whole product from one skew expansion of
+    the corner-to-corner shape: it neither enumerates candidate
+    constituents nor evaluates a coefficient for each."""
     source = (SRC / "lr.py").read_text(encoding="utf-8")
     reached = names_reached(source, "tensor_expand")
     assert "skew_expand" in reached
