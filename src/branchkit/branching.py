@@ -64,6 +64,8 @@ from .partitions import (
     double_columns,
     double_rows,
     first_two_columns,
+    is_even_columns,
+    is_even_rows,
     meet,
     subpartitions,
 )
@@ -407,26 +409,17 @@ def _evens(outer: Partition, even_mode: str):
     return map(double_columns, subpartitions(outer[1::2]))
 
 
-def _even_weights(outer: Partition, even_mode: str) -> dict[Partition, int]:
+def _even_weights(outer: Partition, even_mode: str,
+                  size: float = inf) -> dict[Partition, int]:
     """{α ⊆ outer: Σ_δ c^outer_{α 2δ}}, nonzero weights only: the skew
-    expansions of outer/2δ, summed over the even 2δ of _evens."""
+    expansions of outer/2δ, summed over the even 2δ of _evens that leave
+    at most ``size`` boxes."""
     out: dict = defaultdict(int)
+    least = sum(outer) - size
     for two_delta in _evens(outer, even_mode):
-        for alpha, c in skew_expand(outer, two_delta).items():
-            out[alpha] += c
-    return out
-
-
-def _split(outer: Partition, delta: Partition) -> dict:
-    """The coproduct of s_{outer/δ}: {(a, b): Σ_τ c^outer_{τa} c^τ_{δb}}
-    over δ ⊆ τ ⊆ outer, which is Σ_γ c^outer_{δγ} c^γ_{ab} by
-    coassociativity (Macdonald, Symmetric Functions, I.5 (5.10))."""
-    out: dict = defaultdict(int)
-    for tau in subpartitions(outer):
-        if contains(tau, delta):
-            for a, b, c in _cross(skew_expand(outer, tau),
-                                  skew_expand(tau, delta)):
-                out[a, b] += c
+        if sum(two_delta) >= least:
+            for alpha, c in skew_expand(outer, two_delta).items():
+                out[alpha] += c
     return out
 
 
@@ -516,6 +509,24 @@ def _cross(a: dict, b: dict):
     return ((x, y, c * d) for x, c in a.items() for y, d in b.items())
 
 
+def _coproduct(passed: dict, outer: Partition, delta: Partition,
+               limit: float) -> dict:
+    """The coproduct of s_{outer/δ}: {(a, b): Σ_τ c^outer_{τa} c^τ_{δb}}
+    over δ ⊆ τ ⊆ outer, which is Σ_γ c^outer_{δγ} c^γ_{ab} by
+    coassociativity (Macdonald, Symmetric Functions, I.5 (5.10)), leaving
+    out each τ with |τ/δ| over ``limit``.  ``passed`` maps τ to s_{outer/τ},
+    one pass over τ ⊆ outer; at τ = outer, s_{τ/δ} is read from it too."""
+    out: dict = defaultdict(int)
+    for tau, above in passed.items():
+        if sum(tau) - sum(delta) <= limit and contains(tau, delta):
+            below = (passed.get(delta, {}) if tau == outer
+                     else skew_expand(tau, delta))
+            for a, c in above.items():
+                for b, d in below.items():
+                    out[a, b] += c * d
+    return out
+
+
 def _products(terms, cap: int) -> dict[Partition, int]:
     """Σ w·s_x·s_y over the (x, y, w) terms, keeping the constituents with
     at most cap parts; each unordered pair {x, y} is expanded once."""
@@ -541,11 +552,16 @@ def branch_decompose(pair: str, big, ranks=None, bound: int | None = None) -> di
     factor's for the direct sums, |λ+|+|λ-| for a GL label, |λ| otherwise.
 
     The rule's sum is expanded from the big side, each term adding to the
-    labels it produces: skew expansions of the big labels, then LR
-    products (tensor_expand) or the coproduct of s_{λ/δ}, read as
-    Σ_τ s_{λ/τ} ⊗ s_{τ/δ} (Macdonald I.5 (5.10)) for each δ the rule
-    removes (only even 2δ for O and Sp).  No small label is guessed, so
-    the cost follows the size of the output.
+    labels it produces.  The diagonal and bilinear-form rules take skew
+    expansions of the big labels, then LR products (tensor_expand).  The
+    direct-sum and polarization rules take the coproduct of s_{λ/δ},
+    Σ_τ s_{λ/τ} ⊗ s_{τ/δ} (Macdonald I.5 (5.10)), for each δ the rule
+    removes.  gl-sum reads every δ's coproduct from one pass over τ ⊆ λ±,
+    which expands each λ±/τ once.  O and Sp remove only even 2δ, and their
+    2δ-sum is taken inside each τ: Σ_{2δ} Δ s_{λ/2δ} = Σ_τ s_{λ/τ} ⊗ E_τ
+    with E_τ = Σ_{2δ⊆τ} s_{τ/2δ}, one cross product per τ.  Under a bound
+    no τ or 2δ that leaves a factor too much is searched.  No small label
+    is guessed, so the cost follows the size of the output.
 
     The big side must itself satisfy the rule's hypotheses at ``ranks``
     (use validate_stable_range on a query first if unsure).
@@ -585,34 +601,66 @@ def branch_decompose(pair: str, big, ranks=None, bound: int | None = None) -> di
              for t in _cross(skew_expand(mu, alpha), skew_expand(nu, alpha))),
             torus_rank(rule.small, ranks[0]))
     elif rule.kind == "sum" and rule.big == "GL":
-        # δ cancels between λ+ and λ-; the rest of each splits between factors
+        # δ cancels between λ+ and λ-, and the rest of each side splits
+        # between the factors: Δ s_{λ±/δ} for every δ, read from one pass
+        # over τ ⊆ λ±.  Under a bound a τ is passed over when it leaves μ
+        # too much, or holds no δ that leaves the factors room
         size = big.total_size()
+        passed = [{tau: skew_expand(outer, tau) for tau in subpartitions(outer)
+                   if bound is None or (
+                       sum(outer) - sum(tau) <= limit
+                       and size - 2 * sum(meet(tau, other)) <= 2 * limit)}
+                  for outer, other in (big, big[::-1])]
+        terms: dict = defaultdict(int)  # ((μ+, ν+), (μ-, ν-)) -> multiplicity
         for delta in subpartitions(meet(big.plus, big.minus)):
             if size - 2 * sum(delta) > 2 * limit:  # some factor exceeds it
                 continue
-            minus = _split(big.minus, delta)
-            for (mp, np_), cp in _split(big.plus, delta).items():
-                for (mm, nm), cm in minus.items():
-                    mu, nu = GLLabel(mp, mm), GLLabel(np_, nm)
-                    if max(mu.total_size(), nu.total_size()) <= limit:
-                        out[mu, nu] += cp * cm
-    elif rule.kind == "sum":
-        # λ/2δ splits between the factors, for each even 2δ
-        for two_delta in _evens(big, rule.even):
-            if sum(big) - sum(two_delta) > 2 * limit:  # some factor exceeds it
+            plus, minus = (_coproduct(p, outer, delta, limit)
+                           for p, outer in zip(passed, big))
+            for kp, cp in plus.items():
+                for km, cm in minus.items():
+                    terms[kp, km] += cp * cm
+        # popped, so that the labels take the memory the popped keys free
+        while terms:
+            ((mp, np_), (mm, nm)), c = terms.popitem()
+            if bound is None or max(sum(mp) + sum(mm),
+                                    sum(np_) + sum(nm)) <= bound:
+                out[GLLabel(mp, mm), GLLabel(np_, nm)] = c
+    elif rule.kind in ("sum", "polarization"):
+        # Σ_{2δ} Δ s_{λ/2δ} = Σ_τ s_{λ/τ} ⊗ E_τ, where E_τ = Σ_{2δ⊆τ} s_{τ/2δ}
+        # (_even_weights): one cross product per τ.  E_λ is the sum of this
+        # pass's own s_{λ/τ} over the even τ, so λ comes last and each λ/τ
+        # is expanded once.  Under a bound a τ that leaves a factor too
+        # much is skipped, and so is each 2δ that leaves too much in τ
+        polar = rule.kind == "polarization"
+        even = is_even_rows if rule.even == "rows" else is_even_columns
+        top: dict = defaultdict(int)  # E_λ, from s_{λ/λ} = 1 if λ is even
+        if even(big):
+            top[()] = 1
+        terms = defaultdict(int)  # (μ, ν), or (μ+, μ-) -> multiplicity
+        for tau in [t for t in subpartitions(big) if t != big] + [big]:
+            rest = sum(big) - sum(tau)
+            if rest > limit:
                 continue
-            for (mu, nu), c in _split(big, two_delta).items():
-                if max(sum(mu), sum(nu)) <= limit:
-                    out[mu, nu] += c
-    elif rule.kind == "polarization":
-        # as the sum rules, with λ/2δ split into μ+ and μ-
-        cap = ranks[0] // 2
-        for two_delta in _evens(big, rule.even):
-            if sum(big) - sum(two_delta) > limit:
+            evens = top if tau == big else _even_weights(
+                tau, rule.even, limit - rest if polar else limit)
+            if not evens:
                 continue
-            for (mp, mm), c in _split(big, two_delta).items():
-                if sum(mp + mm) <= limit and max(len(mp), len(mm)) <= cap:
-                    out[GLLabel(mp, mm)] += c
+            above = skew_expand(big, tau)
+            if tau != big and even(tau):
+                for a, c in above.items():
+                    top[a] += c
+            for a, c in above.items():
+                for b, d in evens.items():
+                    terms[a, b] += c * d
+        if polar:
+            cap = ranks[0] // 2
+            while terms:  # popped, as for gl-sum
+                (mp, mm), c = terms.popitem()
+                if max(len(mp), len(mm)) <= cap:
+                    out[GLLabel(mp, mm)] = c
+        else:
+            out = terms
     else:  # bilinear: μ ∈ α·β, weighted by the even weights of λ+/α, λ-/β
         weights = _cross(_even_weights(big.plus, rule.even),
                          _even_weights(big.minus, rule.even))

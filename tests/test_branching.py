@@ -1,3 +1,4 @@
+from collections import Counter, defaultdict
 from math import inf
 
 import pytest
@@ -16,13 +17,13 @@ from branchkit import (
     query,
     validate_stable_range,
 )
-from branchkit import lr
+from branchkit import branching, lr
 from branchkit.lr import lr_coeff
 from branchkit.branching import (
     PAIR_IDS,
     PAIRS,
+    _coproduct,
     _even_weights,
-    _split,
     decompose_range_violations,
     diagonal_gl_sum,
     diagonal_onsp_sum,
@@ -31,9 +32,9 @@ from branchkit.branching import (
     stable_rank,
 )
 from branchkit.errors import InvalidLabel, StableRangeViolation, UnknownPair
-from branchkit.partitions import GLLabel, partitions_up_to
+from branchkit.partitions import GLLabel, partitions_up_to, subpartitions
 from branchkit.verify import gl_labels
-from bruteforce import even_weights, skew_coproduct, sub_partitions
+from bruteforce import even_weights, is_even, skew_coproduct, sub_partitions
 
 E = ()
 
@@ -483,12 +484,48 @@ def test_even_weights_expand_only_the_even_skew_shapes(mode):
         assert _even_weights(outer, mode) == even_weights(outer, mode), outer
 
 
-def test_split_is_the_coproduct_of_the_skew_shape():
-    # Σ_τ s_{λ/τ} ⊗ s_{τ/δ} against Σ_γ c^λ_{δγ} Δ(s_γ)
+def test_the_coproduct_read_from_one_pass_is_that_of_the_skew_shape():
+    # gl-sum's Δ s_{λ/δ} = Σ_τ s_{λ/τ} ⊗ s_{τ/δ}, read from one pass over
+    # τ ⊆ λ that leaves out each τ with |λ/τ| over the bound, against
+    # Σ_γ c^λ_{δγ} Δ(s_γ) cut to the factors the bound allows
     for outer in partitions_up_to(7):
         for delta in sub_partitions(outer):
-            assert (_split(outer, delta)
-                    == skew_coproduct(outer, delta)), (outer, delta)
+            full = skew_coproduct(outer, delta)
+            for bound in (None, 0, 1, 2, 3):
+                limit = inf if bound is None else bound
+                passed = {tau: lr.skew_expand(outer, tau)
+                          for tau in sub_partitions(outer)
+                          if sum(outer) - sum(tau) <= limit}
+                assert _coproduct(passed, outer, delta, limit) == {
+                    (a, b): c for (a, b), c in full.items()
+                    if max(sum(a), sum(b)) <= limit}, (outer, delta, bound)
+
+
+@pytest.mark.parametrize("mode, sum_pair, polar_pair", [
+    ("rows", "o-sum", "gl-in-sp"),
+    ("columns", "sp-sum", "gl-in-o"),
+])
+def test_the_even_coproduct_is_the_sum_over_the_even_skew_shapes(
+        mode, sum_pair, polar_pair):
+    # Σ_τ s_{λ/τ} ⊗ E_τ against Σ_{2δ} Σ_γ c^λ_{2δ,γ} Δ(s_γ), read as the
+    # direct-sum map (each factor within the bound) and as the
+    # polarization map (|μ+| + |μ-| within it) at a rank whose length caps
+    # never bind
+    for outer in partitions_up_to(7):
+        full: dict = defaultdict(int)
+        for two_delta in sub_partitions(outer):
+            if is_even(two_delta, mode):
+                for key, c in skew_coproduct(outer, two_delta).items():
+                    full[key] += c
+        for bound in (None, 0, 1, 2, 3):
+            limit = inf if bound is None else bound
+            assert branch_decompose(sum_pair, outer, None, bound) == {
+                (a, b): c for (a, b), c in full.items()
+                if max(sum(a), sum(b)) <= limit}, (outer, bound)
+            polar = branch_decompose(polar_pair, outer, (16,), bound)
+            assert {(k.plus, k.minus): c for k, c in polar.items()} == {
+                (a, b): c for (a, b), c in full.items()
+                if sum(a) + sum(b) <= limit}, (outer, bound)
 
 
 # the skew expansions a cold branch_decompose runs on perfbench's
@@ -513,15 +550,51 @@ def test_a_cold_decomposition_fills_a_pinned_number_of_memo_entries(
 
 
 def test_a_bound_skips_the_removed_shapes_that_leave_too_much():
-    # a 2δ that leaves more than the factors may hold is never split: the
-    # bound-2 sp-sum call fills 23 memo entries against the unbounded
-    # call's 1,176 above, and the bound-2 gl-in-sp call none
+    # under a bound no τ that leaves a factor too much is searched, nor a
+    # 2δ that leaves too much in τ, nor λ/τ when no 2δ ⊆ τ is left.  The
+    # bound-2 sp-sum call fills 8 memo entries against the unbounded
+    # call's 1,176 above; the bound-2 gl-sum call 18 and the bound-6 gl-in-o
+    # call 55.  Walking every τ ⊇ 2δ (or ⊇ δ) for each 2δ (δ) that left the
+    # factors room filled 23, 31 and 55.  The bound-2 gl-in-sp call fills
+    # none
+    for pair, big, ranks, bound, size, entries in [
+        ("sp-sum", (6, 4, 3, 2, 1), None, 2, 4, 8),
+        ("gl-sum", L((4, 3, 2, 1), (3, 2, 1)), None, 2, 4, 18),
+        ("gl-in-o", (6, 4, 3, 2), (8,), 6, 36, 55),
+        ("gl-in-sp", (5, 5, 3, 2, 1), (10,), 2, 0, 0),
+    ]:
+        lr.clear_cache()
+        assert len(branch_decompose(pair, big, ranks, bound)) == size, pair
+        assert lr.cache_size() == entries, pair
+
+
+@pytest.mark.parametrize("pair, big, ranks", [
+    ("o-sum", (5, 4, 3, 2, 1), (32, 32)),
+    ("sp-sum", (6, 4, 3, 2, 1), (16, 16)),
+    ("gl-sum", L((4, 3, 2, 1), (3, 2, 1)), (16, 16)),
+    ("gl-in-o", (6, 4, 3, 2), (8,)),
+    ("gl-in-sp", (5, 5, 3, 2, 1), (10,)),
+])
+def test_a_decomposition_expands_each_shape_of_its_pass_once(
+        monkeypatch, pair, big, ranks):
+    # one pass over τ ⊆ λ (each of λ+ and λ- for gl-sum) expands every λ/τ
+    # once, where a walk over τ for each removed δ expanded λ/τ once for
+    # every δ ⊆ τ.  gl-sum's λ- = (3,2,1) is also a τ ⊆ λ+, whose s_{τ/δ}
+    # the plus side's coproduct reads once more for each δ
+    calls: Counter = Counter()
+    expand = lr.skew_expand
+
+    def counted(outer, inner):
+        calls[outer, inner] += 1
+        return expand(outer, inner)
+
+    monkeypatch.setattr(branching, "skew_expand", counted)
     lr.clear_cache()
-    assert len(branch_decompose("sp-sum", (6, 4, 3, 2, 1), None, 2)) == 4
-    assert lr.cache_size() == 23
-    lr.clear_cache()
-    assert branch_decompose("gl-in-sp", (5, 5, 3, 2, 1), (10,), 2) == {}
-    assert lr.cache_size() == 0
+    branch_decompose(pair, big, ranks)
+    for outer in big if pair == "gl-sum" else (big,):
+        most = 2 if pair == "gl-sum" and outer == big.minus else 1
+        counts = [calls[outer, tau] for tau in subpartitions(outer)]
+        assert 1 <= min(counts) and max(counts) <= most, outer
 
 
 def test_results_deterministic_under_threads():
