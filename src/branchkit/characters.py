@@ -11,6 +11,11 @@ Two independent routes produce them:
 
   * weight_multiplicities + orbit expansion: Freudenthal's recursion on
     dominant weights.  Scales to the ranks the verification grids need.
+    It visits only the dominant mu with lambda - mu in the positive root
+    cone Q+, read from partial sums (_in_root_cone), each of which is a
+    weight (Humphreys, Introduction to Lie Algebras and Representation
+    Theory, §21.3); root strings through weights are unbroken, so each
+    ends at its first non-weight.
     Its root sum runs over the orbits of each weight's stabiliser W_mu on
     the roots, one k-sum per orbit scaled by the number of positive roots
     in it (Moody and Patera, Bull. AMS 7 (1982) 237-242); the orbits are
@@ -30,7 +35,8 @@ Two independent routes produce them:
 
 The two are cross-checked against each other in the test suite.
 
-greedy_decompose is the one highest-weight subtraction loop: the oracle's
+greedy_decompose is the one highest-weight subtraction, a single pass
+over the remainder's keys in decreasing order: the oracle's
 restrictions and direct-sum pairs run it on their remainders, and
 decompose_character here on a whole character, each caller keeping its
 own check; the oracle's tensor products use the Brauer-Klimyk fold
@@ -52,7 +58,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, permutations, product
+from itertools import accumulate, combinations, permutations, product
 from operator import add, ge, mul, sub
 from types import MappingProxyType
 
@@ -359,9 +365,31 @@ def dominant_weights(g: GroupSpec, sizes):
                 yield padded[:-1] + (-padded[-1],)
 
 
+def _in_root_cone(family: str, d: Weight) -> bool:
+    """Whether d lies in the positive root cone Q+: its coefficients on the
+    simple roots, read from its partial sums s_k, are non-negative
+    integers.  They are s_k for k < n on every family, and then s_n = 0
+    for GL, s_n for SOOdd and s_n/2 for Sp; for SOEven, whose last two
+    simple roots are e_{n-1} -+ e_n, s_k for k <= n-2 and then
+    (s_{n-1} - d_n)/2 and s_n/2, which differ by d_n."""
+    s = list(accumulate(d))
+    if family == "SOEven":
+        before = s[-2] if len(s) > 1 else 0
+        return (min(s[:-2], default=0) >= 0 and s[-1] >= 0
+                and before >= d[-1] and s[-1] % 2 == 0)
+    if min(s) < 0:
+        return False
+    if family == "GL":
+        return s[-1] == 0
+    return family == "SOOdd" or s[-1] % 2 == 0
+
+
 def dominant_candidates(g: GroupSpec, lam: Weight) -> list[Weight]:
-    """Dominant vectors that could be weights of the irrep with highest
-    weight lam.  Supersets are harmless: non-weights get multiplicity 0."""
+    """The dominant weights of the irrep with highest weight lam: the
+    dominant μ with lam - μ in the positive root cone, each of which is a
+    weight (Humphreys, Introduction to Lie Algebras and Representation
+    Theory, §21.3).  They are read from the dominant vectors of each size
+    up to lam's."""
     if g.family == "GL":
         pos_budget = 0
         run = 0
@@ -371,9 +399,9 @@ def dominant_candidates(g: GroupSpec, lam: Weight) -> list[Weight]:
         total = sum(lam)
         sizes = ((p, p - total) for p in range(max(total, 0), pos_budget + 1))
     else:
-        total = sum(abs(x) for x in lam)
-        sizes = range(total, -1, -1 if g.family == "SOOdd" else -2)
-    return list(dominant_weights(g, sizes))
+        sizes = range(sum(map(abs, lam)), -1, -1)
+    return [mu for mu in dominant_weights(g, sizes)
+            if _in_root_cone(g.family, tuple(map(sub, lam, mu)))]
 
 
 def _root_orbits(family: str, mu: Weight) -> list[tuple[Weight, int]]:
@@ -437,6 +465,13 @@ def weight_multiplicities(g: GroupSpec, weight) -> MappingProxyType:
     recursion, as a read-only view of the memo's entry.  The full weight
     system is the union of Weyl orbits of these (see full_weight_support).
 
+    The recursion visits the dominant mu with lam - mu in the positive
+    root cone (dominant_candidates), highest first; each is a weight
+    (Humphreys, Introduction to Lie Algebras and Representation Theory,
+    §21.3), so a root sum of 0 raises ExactnessError.  The alpha-string
+    through a weight is unbroken, so each string ends at its first
+    mu + k·alpha whose dominant representative, higher than mu and so
+    already visited, holds no multiplicity.
     The root sum runs over the orbits of mu's stabiliser on the roots
     (_root_orbits), not over every positive root: w in W_mu maps the
     alpha-string through mu onto the w(alpha)-string, term for term, so
@@ -457,27 +492,19 @@ def weight_multiplicities(g: GroupSpec, weight) -> MappingProxyType:
     mults: dict[Weight, int] = {lam: 1}
     cands = [c for c in dominant_candidates(g, lam) if c != lam]
     cands.sort(key=lambda m: _dot(m, tr), reverse=True)
-    height_cap = _dot(lam, tr)
     for mu in cands:
-        if _dot(mu, tr) > height_cap:
-            continue
         acc = 0
         for alpha, count in _root_orbits(g.family, mu):
             term = 0
-            v = mu
-            while True:
+            v = tuple(map(add, mu, alpha))
+            m = mults.get(dominant_rep(g, v))
+            while m:
+                term += m * _dot(v, alpha)
                 v = tuple(map(add, v, alpha))
-                rep = dominant_rep(g, v)
-                if _dot(rep, tr) > height_cap:
-                    break
-                m = mults.get(rep)
-                if m:
-                    term += m * _dot(v, alpha)
+                m = mults.get(dominant_rep(g, v))
             acc += count * term
-        if acc == 0:
-            continue
         denom = lam_norm - _dot(mu, mu) - _dot(mu, tr)
-        if denom <= 0 or (2 * acc) % denom:
+        if acc <= 0 or denom <= 0 or (2 * acc) % denom:
             raise ExactnessError(
                 f"Freudenthal failed at {mu} for {g.family} {lam}")
         mults[mu] = (2 * acc) // denom
@@ -656,28 +683,31 @@ def restrict_character(chi: LaurentPoly, pair: str, ranks) -> LaurentPoly:
 def greedy_decompose(rem: dict, system) -> dict:
     """Greedy highest-weight subtraction on a dominant-sector remainder.
 
-    Repeatedly takes the lexicographically greatest key left in ``rem``,
-    records its coefficient as that irreducible's multiplicity and
-    subtracts that many copies of ``system(key)``, the irreducible's
-    dominant weight system (for a product group, the product of its
-    factors' systems).  Consumes ``rem``; a negative coefficient raises
-    NotACharacter.
+    One pass over the keys of ``rem`` in decreasing lexicographic order:
+    each key's coefficient, once the pass reaches it, is that irreducible's
+    multiplicity, and that many copies of ``system(key)``, the
+    irreducible's dominant weight system (for a product group, the product
+    of its factors' systems), are subtracted.  The weights of V(w) lie
+    below w, so no key is changed after the pass has read it.  Consumes
+    ``rem``; a negative coefficient, or a system weight that ``rem`` lacks,
+    raises NotACharacter.
     """
     out: dict = {}
-    while rem:
-        w = max(rem)
-        m = rem.pop(w)
+    for w in sorted(rem, reverse=True):
+        m = rem[w]
+        if not m:
+            continue
         if m < 0:
             raise NotACharacter(f"negative multiplicity {m} at {w}")
         out[w] = m
         for u, mu in system(w).items():
             if u == w:
                 continue
-            v = rem.get(u, 0) - m * mu
-            if v:
-                rem[u] = v
-            else:
-                rem.pop(u, None)
+            try:
+                rem[u] -= m * mu
+            except KeyError:
+                raise NotACharacter(f"weight {u} of the constituent {w} is"
+                                    " not in the remainder") from None
     return out
 
 

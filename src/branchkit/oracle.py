@@ -8,15 +8,17 @@ pipeline reads the pair's rule in the pair table pairs.PAIRS (its kind,
 families and rank scale), and one map per label family names the group,
 the label's weight and the weight's label; no code here branches on a pair
 id.  Restrictions and the direct-sum pairs are decomposed by the one greedy
-loop characters.greedy_decompose, tensor products by the Brauer-Klimyk
+pass characters.greedy_decompose, tensor products by the Brauer-Klimyk
 fold; each is balanced against Weyl dimensions.  No pipeline expands a
 weight system: each reads dominant weights (weight_multiplicities) only.
-The greedy loop reads the subgroup-dominant part of the restricted
+The greedy pass reads the subgroup-dominant part of the restricted
 character (its remainder), built from the big group's dominant weights:
 a direct sum's from splits of each weight's entries between the two
 factors (_sum_remainder), an embedding's from the few vectors of each
 weight's Weyl orbit that land in the subgroup's dominant chamber
-(_restriction_remainder).
+(_restriction_remainder).  A direct sum's mass check reads each distinct
+factor weight's dimension once, from one table when both factors are one
+group (gl-sum, and o-sum and sp-sum at equal ranks).
 
 Tensor products (the diagonal pairs) are decomposed without materializing
 the product polynomial: Klimyk's formula folds the smaller factor's
@@ -27,7 +29,9 @@ spread over its Weyl orbit one position at a time, and a position that
 lands on a wall ends the branch (_regular_terms).  A negative
 multiplicity raises NotACharacter, and every decomposition is balanced
 against Weyl dimensions, so a dropped or spurious constituent cannot pass
-silently.
+silently.  The fold's mass check reads each constituent's dimension from
+the doubled vector y = 2(ν+ρ) it already holds, as Π<y, α> / Π<2ρ, α>
+over the positive roots, with one denominator per call.
 
 Each pipeline reads its labels' ranks from pairs.label_ranks.  Each entry
 point reads every label it is given through its family's weight in
@@ -58,6 +62,7 @@ from .characters import (
     SO,
     Sp,
     Weight,
+    _root_product,
     dim_of_weight,
     dominant_rep,
     greedy_decompose,
@@ -266,9 +271,12 @@ def decompose_tensor(g: GroupSpec, w1: Weight, w2: Weight) -> dict[Weight, int]:
     orbit one position at a time, and a position that lands on a wall
     cuts the branch (_regular_terms), so no weight system or orbit is
     built.  The vectors are doubled so that SOOdd's half-integral ρ stays
-    integral.  A negative multiplicity raises NotACharacter, and the
-    result is balanced against Weyl dimensions before being returned,
-    keys in decreasing lexicographic order.
+    integral.  A negative multiplicity raises NotACharacter.  The result
+    is balanced against Weyl dimensions before being returned, keys in
+    decreasing lexicographic order: each constituent's dimension is read
+    from its doubled vector y = 2(ν+ρ) as Π<y, α> / Π<2ρ, α>, the
+    denominator built once per call, and a non-integer quotient raises
+    ExactnessError.
     """
     d1, d2 = weyl_dims(g, (w1, w2))
     if d1 > d2:
@@ -278,14 +286,20 @@ def decompose_tensor(g: GroupSpec, w1: Weight, w2: Weight) -> dict[Weight, int]:
     acc: dict[Weight, int] = {}
     for d, m in weight_multiplicities(g, w1).items():
         _regular_terms(g.family, top, d, m, acc)
+    den = _root_product(g.family, tr, 0, 0)
     out: dict[Weight, int] = {}
+    mass = 0
     for y in sorted(acc, reverse=True):
         m = acc[y]
         if m < 0:
             raise NotACharacter(f"negative multiplicity {m} at {y}")
         if m:
             out[tuple((a - r) // 2 for a, r in zip(y, tr))] = m
-    mass = sum(map(mul, out.values(), weyl_dims(g, out)))
+            dim, rest = divmod(_root_product(g.family, y, 0, 0), den)
+            if rest:
+                raise ExactnessError(
+                    "Weyl dimension formula gave a non-integer")
+            mass += m * dim
     if mass != d1 * d2:
         raise ExactnessError(
             f"tensor mass check failed: {mass} != {d1}*{d2} on {g}")
@@ -326,11 +340,17 @@ def _sum_remainder(g_big: GroupSpec, big_weight: Weight, ga: GroupSpec,
     part's last entry, the leftover), whose vector u+v+x W takes to w."""
     a, b = ga.torus_rank, gb.torus_rank
     free_u, free_v = ga.family == "SOEven", gb.family == "SOEven"
+    # GL and Sp: the parts fill the big torus and no sign is free, so the
+    # Weyl group takes every split back to w
+    signed = g_big.family not in ("GL", "Sp")
     rem: dict[tuple[Weight, Weight], int] = {}
     for w, c in weight_multiplicities(g_big, big_weight).items():
         values = w if g_big.family == "GL" else tuple(map(abs, w))
         for u, rest in _takes(values, a):
             for v, x in _takes(rest, b):
+                if not signed:
+                    rem[u, v] = rem.get((u, v), 0) + c
+                    continue
                 for su, sv, sx in product(_signs(u, free_u),
                                           _signs(v, free_v), _signs(x, True)):
                     if dominant_rep(g_big, su + sv + sx) == w:
@@ -454,10 +474,15 @@ def _sum_decomposition(rule: PairRule, big_n: int, ranks: tuple, lam) -> dict:
                 for uu, cu in fr_u.items() for vv, cv in fr_v.items()}
 
     raw = greedy_decompose(_sum_remainder(g_big, wbig, ga, gb), system)
-    # each distinct factor label once
+    # each distinct factor weight once, and once for both factors when they
+    # are one group (gl-sum; o-sum and sp-sum at equal ranks)
     us, vs = dict.fromkeys(u for u, _ in raw), dict.fromkeys(v for _, v in raw)
-    dim_u = dict(zip(us, weyl_dims(ga, us)))
-    dim_v = dict(zip(vs, weyl_dims(gb, vs)))
+    both = us | vs
+    if ga == gb:
+        dim_u = dim_v = dict(zip(both, weyl_dims(ga, both)))
+    else:
+        dim_u = dict(zip(us, weyl_dims(ga, us)))
+        dim_v = dict(zip(vs, weyl_dims(gb, vs)))
     mass = sum(c * dim_u[u] * dim_v[v] for (u, v), c in raw.items())
     if mass != dim_of_weight(g_big, wbig):
         raise ExactnessError("direct-sum mass check failed")
@@ -466,8 +491,8 @@ def _sum_decomposition(rule: PairRule, big_n: int, ranks: tuple, lam) -> dict:
             if 2 * len(_strip(u)) >= n or 2 * len(_strip(v)) >= m:
                 raise OutOfSafeRegime(
                     f"factor label out of safe regime in o-sum: {u},{v}")
-    read = family.read
-    return {(read(u), read(v)): c for (u, v), c in raw.items()}
+    label = {w: family.read(w) for w in both}
+    return {(label[u], label[v]): c for (u, v), c in raw.items()}
 
 
 def _oracle_decomposition(pair: str, ranks: tuple, big) -> dict:

@@ -12,6 +12,7 @@ from branchkit.characters import (
     dim_of_weight,
     dominant_rep,
     full_weight_support,
+    greedy_decompose,
     irreducible_character,
     is_dominant,
     orbit_vectors,
@@ -24,6 +25,7 @@ from branchkit.characters import (
     weyl_dims,
     weyl_order,
     _root_orbits,
+    _root_product,
     _signed_orbit_terms,
 )
 from branchkit.errors import (InvalidLabel, NotACharacter, NotDominant,
@@ -217,6 +219,34 @@ def test_weyl_dims_takes_many_weights_in_one_call():
         weyl_dims(Sp(2), [(1, 0), (0, 1)])
 
 
+def test_the_dimension_read_from_a_doubled_vector_is_weyl_dims():
+    # the fold reads each constituent's dimension from its doubled regular
+    # vector y = 2λ+2ρ as Π<y, α> / Π<2ρ, α> over every positive root
+    import random
+
+    rng = random.Random(25)
+    weights = {}
+    for i in range(20_000):
+        g = GroupSpec(FAMILIES[i % 4], 1 + i // 4 % 12)
+        low = -6 if g.family == "GL" else 0
+        w = sorted((rng.randint(low, 6) for _ in range(g.torus_rank)),
+                   reverse=True)
+        if g.family == "SOEven" and rng.random() < 0.5:
+            w[-1] = -w[-1]
+        weights.setdefault(g, []).append(tuple(w))
+    assert len(weights) == 48
+    for g, ws in weights.items():
+        tr = two_rho(g)
+        den = _root_product(g.family, tr, 0, 0)
+        read = []
+        for w in ws:
+            y = tuple(2 * x + r for x, r in zip(w, tr))
+            dim, rest = divmod(_root_product(g.family, y, 0, 0), den)
+            assert not rest, (g, w)
+            read.append(dim)
+        assert read == weyl_dims(g, ws), g
+
+
 def test_weight_multiplicities_known_values():
     # adjoint of GL(3): zero weight has multiplicity 2
     mults = weight_multiplicities(GL(3), (1, 0, -1))
@@ -385,6 +415,46 @@ def test_freudenthal_matches_the_quotient_above_the_small_ranks(case):
     chi = irreducible_character(g, w)
     assert weight_multiplicities(g, w) == {
         e: c for e, c in chi.items() if is_dominant(g, e)}
+
+
+def _groups_and_sizes_up_to_4():
+    """GL ranks 1-5 (sizes |λ+| + |λ-| <= 4), Sp ranks 1-4 and SO(2) to
+    SO(9) (sizes up to 4)."""
+    for n in range(1, 6):
+        yield GL(n), [(p, s - p) for s in range(5) for p in range(s + 1)]
+    for n in range(1, 5):
+        yield Sp(n), range(5)
+    for n in range(2, 10):
+        yield SO(n), range(5)
+
+
+def test_freudenthal_reads_every_weight_below_the_highest():
+    # Freudenthal walks only the dominant μ with λ - μ in the positive root
+    # cone and ends each root string at its first non-weight; the quotient
+    # reads every weight with no such assumption
+    count = 0
+    for g, sizes in _groups_and_sizes_up_to_4():
+        for w in weights_of_sizes(g, sizes):
+            chi = irreducible_character(g, w)
+            assert weight_multiplicities(g, w) == {
+                e: c for e, c in chi.items() if is_dominant(g, e)}, (g, w)
+            count += 1
+    assert count == 263
+
+
+def test_greedy_decompose_is_one_descending_pass():
+    def system(w):
+        return weight_multiplicities(GL(2), w)
+
+    # V(2,0) holds (1,1) once: one copy is left, and none in the second
+    assert greedy_decompose({(2, 0): 1, (1, 1): 2}, system) == {
+        (2, 0): 1, (1, 1): 1}
+    assert greedy_decompose({(1, 1): 1, (2, 0): 1}, system) == {(2, 0): 1}
+    with pytest.raises(NotACharacter, match="negative multiplicity -1"):
+        greedy_decompose({(2, 0): 1, (1, 1): 0}, system)
+    with pytest.raises(NotACharacter, match=r"weight \(1, 1\) of the "
+                       r"constituent \(2, 0\) is not in the remainder"):
+        greedy_decompose({(2, 0): 1}, system)
 
 
 def test_decompose_character_roundtrip():
