@@ -41,7 +41,6 @@ theorems that the bilinear rules generalize.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from math import inf
 
 from .errors import InvalidLabel, StableRangeViolation, UnknownPair
@@ -53,9 +52,9 @@ from .lr import (
     skew_expand,
     tensor_expand,
 )
-# PAIR_IDS and PairRule are imported for callers of this module
-from .pairs import (PAIR_IDS, PAIRS, PairRule, label_ranks, rule_for_ranks,
-                    rule_of, torus_rank)
+# PAIR_IDS, PairRule, RepLabel and query are imported for its callers
+from .pairs import (PAIR_IDS, PAIRS, BranchingQuery, PairRule, RepLabel,
+                    label_ranks, query, rule_for_ranks, rule_of, torus_rank)
 from .partitions import (
     GLLabel,
     Partition,
@@ -69,91 +68,6 @@ from .partitions import (
     meet,
     subpartitions,
 )
-
-
-@dataclass(frozen=True)
-class RepLabel:
-    """A representation label: group family, rank, and highest-weight data.
-
-    rank means n for GL_n and O_n and the rank n for Sp_2n.  ``data`` is a
-    GLLabel for the GL family and a plain partition otherwise.
-    """
-
-    family: str  # "GL" | "O" | "Sp"
-    rank: int
-    data: GLLabel | Partition
-
-    def validate(self) -> None:
-        if self.rank < 0:
-            raise InvalidLabel(f"negative rank {self.rank}")
-        if self.family == "GL":
-            if not isinstance(self.data, GLLabel):
-                raise InvalidLabel("GL label needs a (plus, minus) pair")
-            if not self.data.valid_for_rank(self.rank):
-                raise InvalidLabel(
-                    f"GL label {self.data} needs ℓ(plus)+ℓ(minus) <= {self.rank}"
-                )
-        elif self.family == "O":
-            if first_two_columns(self.data) > self.rank:
-                raise InvalidLabel(
-                    f"O label {self.data}: first two columns exceed {self.rank}"
-                )
-        elif self.family == "Sp":
-            if len(self.data) > self.rank:
-                raise InvalidLabel(
-                    f"Sp label {self.data} has more than {self.rank} parts"
-                )
-        else:
-            raise InvalidLabel(f"unknown family {self.family!r}")
-        check_partitions(self.family, self.data)
-
-
-@dataclass(frozen=True)
-class BranchingQuery:
-    """One multiplicity question for a named symmetric pair.
-
-    ``small`` holds two labels for the diagonal pairs (the tensor factors)
-    and for the direct-sum pairs (the factor-group labels); one otherwise.
-    """
-
-    pair: str
-    big: RepLabel
-    small: tuple[RepLabel, ...]
-
-    def validate_labels(self) -> None:
-        self.big.validate()
-        for s in self.small:
-            s.validate()
-        _check_small_count(self.pair, rule_of(self.pair).small_count,
-                           len(self.small))
-
-    @property
-    def ranks(self) -> tuple[int, ...]:
-        """The pair's (n,) or (n, m), read back from the labels."""
-        if rule_of(self.pair).kind == "diag":
-            return (self.big.rank,)
-        return tuple(s.rank for s in self.small)
-
-
-def _check_small_count(pair: str, expected: int, got: int) -> None:
-    if got != expected:
-        raise InvalidLabel(
-            f"{pair} expects {expected} small label(s), got {got}")
-
-
-def query(pair: str, ranks, big, small) -> BranchingQuery:
-    """Build a BranchingQuery from raw label data.
-
-    ranks: (n,) or (n, m) per pair.  big/small: partitions or GLLabels in
-    the layout the pair expects; InvalidLabel for the wrong number of
-    small labels.
-    """
-    big_rank, small_ranks = label_ranks(pair, ranks)
-    _check_small_count(pair, len(small_ranks), len(small))
-    rule = rule_of(pair)
-    return BranchingQuery(
-        pair, RepLabel(rule.big, big_rank, big),
-        tuple(RepLabel(rule.small, r, s) for r, s in zip(small_ranks, small)))
 
 
 # ---------------------------------------------------------------------------
@@ -296,9 +210,11 @@ def diagonal_gl_sum(
     """Six-fold LR sum for rational tensor product multiplicities.
 
     ``caps = (p, q, r, s)`` optionally bounds the lengths of the internal
-    summation variables the way the derivation's parameters do; with caps
-    at least the minimal values the sum is unchanged (the padding probe in
-    the verification suite exercises exactly this).
+    summation variables the way the derivation's parameters do.  Caps
+    must be at least the minimal values ℓ(μ+), ℓ(μ-), ℓ(ν+), ℓ(ν-); then
+    each cap only skips a skew expansion that would be empty (γ1 ⊆ ν-,
+    β1 ⊆ μ-, γ2 ⊆ ν+; a1 ⊆ μ+, b2 ⊆ ν- and a2 ⊆ ν+ need no cap), so the
+    sum is unchanged, which the padding probe confirms.
     """
     if lam.degree() != mu.degree() + nu.degree():
         return 0
@@ -306,14 +222,10 @@ def diagonal_gl_sum(
     g1cap, g2cap = min(p, s), min(q, r)
     total = 0
     for a1 in subpartitions(meet(lam.plus, mu.plus)):
-        if len(a1) > p:
-            continue
         for g1, c2 in skew_expand(mu.plus, a1).items():
             if len(g1) > g1cap:
                 continue
             for b2, c3 in skew_expand(nu.minus, g1).items():
-                if len(b2) > s:
-                    continue
                 for b1, c4 in skew_expand(lam.minus, b2).items():
                     if len(b1) > q:
                         continue
@@ -321,8 +233,6 @@ def diagonal_gl_sum(
                         if len(g2) > g2cap:
                             continue
                         for a2, c6 in skew_expand(nu.plus, g2).items():
-                            if len(a2) > r:
-                                continue
                             c1 = skew_expand(lam.plus, a1).get(a2, 0)
                             if c1:
                                 total += c1 * c2 * c3 * c4 * c5 * c6
@@ -372,18 +282,15 @@ def direct_sum_gl_sum(lam: GLLabel, mu: GLLabel, nu: GLLabel) -> int:
 def direct_sum_onsp_sum(
     lam: Partition, mu: Partition, nu: Partition, even_mode: str
 ) -> int:
-    """Σ_{γ,δ} c^γ_{μν} c^λ_{γ 2δ} with 2δ running over even rows for the
-    orthogonal case and even columns ((2δ)') for the symplectic case."""
+    """Σ_γ E_λ(γ) c^γ_{μν} over |γ| = |μ|+|ν|, where E_λ(γ) = Σ_δ c^λ_{γ 2δ}
+    is λ's even weight (_even_weights), with 2δ running over even rows for
+    the orthogonal case and even columns ((2δ)') for the symplectic case."""
     s = sum(mu) + sum(nu)
-    if (sum(lam) - s) % 2:
+    if (sum(lam) - s) % 2:  # |2δ| = |λ| - |γ| is even
         return 0
-    even_sum = even_row_sum if even_mode == "rows" else even_column_sum
-    total = 0
-    for gamma in subpartitions(lam, s):
-        c1 = lr_coeff(gamma, mu, nu)
-        if c1:
-            total += c1 * even_sum(skew_expand(lam, gamma))
-    return total
+    return sum(w * lr_coeff(gamma, mu, nu)
+               for gamma, w in _even_weights(lam, even_mode, s).items()
+               if sum(gamma) == s)
 
 
 def polarization_sum(lam: Partition, mu: GLLabel, even_mode: str) -> int:

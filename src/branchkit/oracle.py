@@ -55,7 +55,6 @@ from operator import mul
 from types import MappingProxyType
 from typing import Callable, NamedTuple
 
-from .branching import BranchingQuery, RepLabel
 from .characters import (
     GL,
     GroupSpec,
@@ -82,7 +81,8 @@ from .errors import (
     OutOfSafeRegime,
     StableRangeViolation,
 )
-from .pairs import PairRule, label_ranks, rule_for_ranks, rule_of, torus_rank
+from .pairs import (BranchingQuery, PairRule, RepLabel, label_ranks,
+                    rule_for_ranks, rule_of, torus_rank)
 from .partitions import (GLLabel, Partition, check_partitions, double_columns,
                          double_rows, partitions_of)
 

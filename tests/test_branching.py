@@ -1,3 +1,4 @@
+import itertools
 from collections import Counter, defaultdict
 from math import inf
 
@@ -33,7 +34,9 @@ from branchkit.branching import (
 )
 from branchkit.errors import InvalidLabel, StableRangeViolation, UnknownPair
 from branchkit.partitions import GLLabel, partitions_up_to, subpartitions
-from branchkit.verify import gl_labels
+from branchkit.oracle import dim_irrep
+from branchkit.pairs import label_ranks
+from branchkit.verify import _grid_labels, gl_labels
 from bruteforce import even_weights, is_even, skew_coproduct, sub_partitions
 
 E = ()
@@ -707,3 +710,94 @@ def test_branching_multiplicity_validates_the_labels_once(monkeypatch, unsafe):
     q = query("o-in-gl", (6,), GLLabel((2,), ()), [(2,)])
     assert branching_multiplicity(q, unsafe=unsafe) == 1
     assert calls == [q.big, *q.small]
+
+
+def _query_sides(rule, big, key):
+    """A grid input and a map key in query layout, (big, small); a key of
+    None leaves the small side out, for the big side's own hypotheses."""
+    if rule.kind == "diag":  # the tensor factors are the grid's input
+        return key, big
+    if key is None or rule.kind == "sum":
+        return big, key
+    return big, (key,)
+
+
+@pytest.mark.parametrize("pair, size, entries, cells", [
+    ("o-diag", 5, 5_081, 343), ("sp-diag", 5, 5_081, 343),
+    ("o-sum", 6, 492, 343), ("sp-sum", 6, 492, 343),
+    ("gl-in-o", 5, 198, 126), ("gl-in-sp", 5, 198, 126),
+    ("o-in-gl", 5, 235, 126), ("sp-in-gl", 5, 235, 126)])
+def test_every_per_cell_sum_matches_its_decomposition_map(pair, size, entries,
+                                                          cells):
+    # the per-cell sums behind branching_multiplicity, held against
+    # branch_decompose on the other eight pairs: every nonzero entry of
+    # each grid input's map up to ``size``, decomposed at the input's
+    # least stable rank (for an orthogonal subgroup no lower than the
+    # grid's floor 2·size+2), each entry queried at that rank or at its
+    # cell's stable rank if higher; then every cell of size <= 3, zeros
+    # included, against the map at the cell's own stable rank
+    rule = PAIRS[pair]
+    ranks = (lambda n: (n, n)) if rule.kind == "sum" else (lambda n: (n,))
+
+    def inputs(cap):
+        smalls = _grid_labels(rule.small, cap)
+        keys = (list(itertools.product(smalls, smalls))
+                if rule.kind == "sum" else smalls)
+        if rule.kind == "diag":
+            return list(itertools.product(smalls, smalls)), keys
+        return _grid_labels(rule.big, cap), keys
+
+    def formula(big, key, n):
+        q_big, small = _query_sides(rule, big, key)
+        n = max(n, stable_rank(pair, q_big, small))
+        return branching_multiplicity(query(pair, ranks(n), q_big, small))
+
+    floor = 2 * size + 2 if rule.small == "O" else 0
+    found = 0
+    for big in inputs(size)[0]:
+        n = max(stable_rank(pair, *_query_sides(rule, big, None)), floor)
+        for key, c in branch_decompose(pair, big, ranks(n)).items():
+            assert formula(big, key, n) == c, (pair, n, big, key)
+            found += 1
+    assert found == entries
+
+    bigs, keys = inputs(3)
+    maps: dict = {}
+    for big in bigs:
+        for key in keys:
+            n = stable_rank(pair, *_query_sides(rule, big, key))
+            if (big, n) not in maps:
+                maps[big, n] = branch_decompose(pair, big, ranks(n))
+            assert formula(big, key, n) == maps[big, n].get(key, 0), (
+                pair, n, big, key)
+    assert len(bigs) * len(keys) == cells
+
+
+def _sum_rule_labels():
+    """Every partition of 8 or 9 with at most 3 parts."""
+    return [lam for lam in partitions_up_to(9)
+            if sum(lam) >= 8 and len(lam) <= 3]
+
+
+@pytest.mark.parametrize("pair, bigs", [
+    ("gl-sum", [L(lam) for lam in _sum_rule_labels()]
+     + [L((3, 2, 1), (2, 1)), L((4, 2), (2, 1)), L((4, 3, 1), (1,))]),
+    ("o-sum", _sum_rule_labels()), ("sp-sum", _sum_rule_labels())])
+def test_sum_rules_conserve_dimension_at_unequal_ranks(pair, bigs):
+    # at unequal ranks the two factors of a direct sum are told apart, so
+    # a key written in the wrong order shows in the dimension count, as
+    # it cannot at equal ranks: Σ m·dim μ·dim ν = dim λ at (n, n+1) and
+    # (n+1, n), n the least stable rank of λ; for o-sum the least odd
+    # rank above it, where every key is in dim_irrep's safe regime
+    rule = PAIRS[pair]
+    for big in bigs:
+        n = stable_rank(pair, big) | (rule.small == "O")
+        for ranks in ((n, n + 1), (n + 1, n)):
+            big_rank, (r1, r2) = label_ranks(pair, ranks)
+            total = sum(c * dim_irrep(RepLabel(rule.small, r1, mu))
+                        * dim_irrep(RepLabel(rule.small, r2, nu))
+                        for (mu, nu), c in
+                        branch_decompose(pair, big, ranks).items())
+            assert total == dim_irrep(RepLabel(rule.big, big_rank, big)), (
+                pair, big, ranks)
+    assert len(bigs) == (25 if rule.small == "GL" else 22)

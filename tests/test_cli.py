@@ -616,3 +616,26 @@ def test_unsafe_still_refuses_a_label_invalid_for_its_group(capsys, pair):
         code, out, err = run_cli(capsys, *args, "--unsafe")
         assert code == 1 and out == "", args
         assert err.startswith("error: "), args
+
+
+def test_decompose_tsv_flattens_the_result_map(capsys):
+    code, out, _ = run_cli(
+        capsys, "decompose", "--pair", "o-in-gl", "-n", "6", "--big", "[2]",
+        "--format", "tsv")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[:3] == ["pair\to-in-gl", "ranks\t[6]", "big\t[2]"]
+    assert "result\t[]=1;[2]=1" in lines
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--pair", "sp-diag", "-n", "2", "--mu", "[1]"),
+     "sp-diag decomposition needs --mu and --nu"),
+    (("--pair", "sp-diag", "-n", "2", "--nu", "[1]"),
+     "sp-diag decomposition needs --mu and --nu"),
+    (("--pair", "o-in-gl", "-n", "6"), "o-in-gl decomposition needs --big"),
+])
+def test_decompose_without_its_labels_exits_one(capsys, argv, message):
+    code, out, err = run_cli(capsys, "decompose", *argv)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+

@@ -15,6 +15,7 @@ import ast
 from pathlib import Path
 
 from branchkit.branching import PAIR_IDS
+from mutants import MUTANTS, mutated
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "branchkit"
 
@@ -109,17 +110,18 @@ def test_character_layer_does_not_import_the_formulas():
     assert not imported & {"branching", "lr"}, imported
 
 
-def _imports_lr(tree) -> list[str]:
-    """Each import of the lr module or of a name from it, as code."""
+def _imports(tree, module: str) -> list[str]:
+    """Each import of the package's ``module`` or of a name from it, as
+    code."""
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
-            module = node.module or ""
-            hit = module == "lr" or module.endswith(".lr") or (
-                module in ("", "branchkit")
-                and any(a.name == "lr" for a in node.names))
+            name = node.module or ""
+            hit = name == module or name.endswith("." + module) or (
+                name in ("", "branchkit")
+                and any(a.name == module for a in node.names))
         elif isinstance(node, ast.Import):
-            hit = any(a.name.endswith(".lr") for a in node.names)
+            hit = any(a.name.endswith("." + module) for a in node.names)
         else:
             continue
         if hit:
@@ -129,14 +131,19 @@ def _imports_lr(tree) -> list[str]:
 
 def test_the_oracle_shares_no_littlewood_richardson_code():
     """The oracle is held against the formulas, so neither it nor the
-    character layer under it may reach the LR machinery."""
-    for code in ("from .lr import lr_coeff", "from . import lr",
-                 "from branchkit.lr import skew_expand", "import branchkit.lr"):
-        assert _imports_lr(ast.parse(code)), code
-    assert not _imports_lr(ast.parse("from .partitions import GLLabel"))
+    character layer under it may reach the LR machinery, nor the formula
+    layer that imports it: both build queries from the pair table."""
+    for module, name in (("lr", "lr_coeff"), ("branching", "RepLabel")):
+        for code in (f"from .{module} import {name}", f"from . import {module}",
+                     f"from branchkit.{module} import {name}",
+                     f"import branchkit.{module}"):
+            assert _imports(ast.parse(code), module), code
+        assert not _imports(ast.parse("from .partitions import GLLabel"),
+                            module)
     for name in ("oracle.py", "characters.py"):
         tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
-        assert not _imports_lr(tree), (name, _imports_lr(tree))
+        for module in ("lr", "branching"):
+            assert not _imports(tree, module), (name, _imports(tree, module))
 
 
 # the per-cell sums, which evaluate one label at a time
@@ -326,3 +333,13 @@ def test_the_memos_are_the_named_five():
              for path in sorted(SRC.glob("*.py"))
              for name in module_memos(path.read_text(encoding="utf-8"))}
     assert found == MEMOS
+
+
+def test_each_recorded_mutant_still_applies():
+    """The mutant record (tests/mutants.py) cannot rot: each mutant's old
+    text occurs exactly once in its file under src/, and the mutated file
+    still parses.  Whether the suite kills each one is checked by running
+    that script, not here."""
+    assert len({m.name for m in MUTANTS}) == len(MUTANTS)
+    for mutant in MUTANTS:
+        ast.parse(mutated(mutant), mutant.path)

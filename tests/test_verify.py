@@ -2,6 +2,7 @@ import pytest
 
 from branchkit import verify
 from branchkit.branching import PAIR_IDS
+from branchkit.cli import main
 from branchkit.errors import UnknownPair
 from branchkit.partitions import GLLabel, partitions_up_to
 from branchkit.verify import gl_labels, run_grid
@@ -92,3 +93,67 @@ def test_lr_spot_checks_agree_on_500_coefficients():
     # both factor orders, on shapes up to |λ| = 14
     report = verify.run_lr_spot_checks(500)
     assert report.ok and report.cases == 500, report.mismatches[:5]
+
+
+# each sweep records a disagreement as (context, small, formula, oracle);
+# one side is put off by one and the record is read back
+
+
+def test_littlewood_sweep_records_a_mismatch(monkeypatch):
+    real = verify.littlewood_restriction
+    monkeypatch.setattr(verify, "littlewood_restriction",
+                        lambda *a: real(*a) + 1)
+    report = verify.run_littlewood_consistency(1)
+    assert report.cases == 6 and len(report.mismatches) == 6
+    assert report.mismatches[0] == {"context": ("O", 2, ()), "small": (),
+                                    "formula": 1, "oracle": 2}
+    for m in report.mismatches:
+        family, n, lam = m["context"]
+        assert m["oracle"] == real(lam, m["small"], family, n) + 1
+        assert m["formula"] == m["oracle"] - 1
+
+
+def test_duality_sweep_records_a_mismatch(monkeypatch):
+    real = verify.duality_dim_check
+    monkeypatch.setattr(verify, "duality_dim_check",
+                        lambda kind, d, **kw: real(kind, d, **kw) and d != 5)
+    report = verify.run_duality_sweeps()
+    # degree 5 of each of the 16 + 4 + 4 + 6 + 6 identities
+    assert len(report.mismatches) == 36
+    assert report.mismatches[0] == {
+        "context": ("cauchy_gl", {"n": 1, "p": 1}), "small": 5,
+        "formula": "dimension mismatch", "oracle": ""}
+    assert {m["small"] for m in report.mismatches} == {5}
+
+
+def test_lr_spot_checks_record_a_mismatch(monkeypatch):
+    from branchkit import lr
+
+    real = lr.lr_count_direct
+    monkeypatch.setattr(lr, "lr_count_direct", lambda *a: real(*a) + 1)
+    report = verify.run_lr_spot_checks(5, seed=3)
+    assert report.cases == 5 and len(report.mismatches) == 5
+    for m in report.mismatches:
+        lam, mu, nu = m["context"]
+        assert m["small"] == lam
+        assert m["formula"] == lr.lr_coeff(lam, mu, nu)
+        assert m["oracle"] == (m["formula"] + 1, m["formula"] + 1)
+
+
+def test_padding_probe_records_a_deviation(monkeypatch, capsys):
+    real = verify.diagonal_gl_sum
+    monkeypatch.setattr(  # one too high whenever the caps are padded
+        verify, "diagonal_gl_sum", lambda lam, mu, nu, caps=None:
+        real(lam, mu, nu, caps) + (caps is not None
+                                   and caps[0] > len(mu.plus)))
+    report = verify.run_padding_probe(2)
+    assert report.cases == len(report.mismatches) == 337
+    for m in report.mismatches:
+        kind, mu, nu = m["context"]
+        free = real(m["small"], mu, nu)
+        assert kind == "padding"
+        assert m["formula"] == (free, free + 1) and m["oracle"] == free
+    # a deviation is a finding: verify reports it and still exits 0
+    assert main(["verify", "--pair", "all", "--max-size", "1"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "padding-probe: 3805 cases, 3805 deviations (finding, not failure)")
