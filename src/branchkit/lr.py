@@ -30,18 +30,32 @@ or without it.  That result is partial and is not memoized; every
 complete skew expansion is.  The memo is a plain dict holding
 immutable values: under concurrent use the worst case is recomputing an
 entry, never an inconsistent one.
+
+skew_expand, lr_coeff and tensor_expand raise NotAPartition on an
+argument with a negative part or an increasing pair of parts before they
+search; zero parts pass.  A memo hit is not checked: skew_expand stores
+only keys it has checked, and load_cache_lines takes a memo file's keys
+as they are.
 """
 
 from __future__ import annotations
 
 import zlib
 
-from .partitions import Partition, contains, is_even_columns, is_even_rows
+from .errors import NotAPartition
+from .partitions import (Partition, contains, is_even_columns, is_even_rows,
+                         is_partition)
 
 _INF = 10 ** 9
 
 # (outer, inner) -> {content: count}; maps are complete and must not be mutated
 _SKEW_CACHE: dict[tuple[Partition, Partition], dict[Partition, int]] = {}
+
+
+def _check(*parts: Partition) -> None:
+    for part in parts:
+        if not is_partition(part):
+            raise NotAPartition(f"{part} is not a partition")
 
 
 def _skew_fillings(outer: Partition, inner: Partition,
@@ -113,6 +127,7 @@ def skew_expand(outer: Partition, inner: Partition) -> dict[Partition, int]:
     cached = _SKEW_CACHE.get(key)
     if cached is not None:
         return cached
+    _check(outer, inner)
     if not contains(outer, inner):
         out: dict[Partition, int] = {}
     else:
@@ -129,6 +144,7 @@ def lr_coeff(lam: Partition, mu: Partition, nu: Partition) -> int:
     contents that fit the smaller one's first row and length; it reads and
     fills no memo.
     """
+    _check(lam, mu, nu)
     if sum(lam) != sum(mu) + sum(nu):
         return 0
     if not contains(lam, mu) or not contains(lam, nu):
@@ -158,6 +174,7 @@ def tensor_expand(
     read one memo entry, returned as a copy.  A cap below ℓ(μ)+ℓ(ν) cuts
     values above it in the search; that result is not memoized.
     """
+    _check(mu, nu)
     if max_length is not None and max(len(mu), len(nu)) > max_length:
         return {}
     if (sum(mu), mu) < (sum(nu), nu):

@@ -564,6 +564,15 @@ def duality_dim_check(kind: str, d: int, n: int | None = None,
                       p: int | None = None, k: int | None = None) -> bool:
     """Degree-d dimension identity for one of the multiplicity-free
     decompositions underlying the branching machinery."""
+    needs = {"cauchy_gl": {"n": n, "p": p}, "sym_square": {"k": k},
+             "wedge_square": {"k": k}, "o_duality": {"n": n, "k": k},
+             "sp_duality": {"n": n, "k": k}}.get(kind)
+    if needs is None:
+        raise ValueError(f"unknown duality kind {kind!r}")
+    missing = [name for name, value in needs.items() if value is None]
+    if missing:
+        raise ValueError(
+            f"duality kind {kind!r} needs {' and '.join(missing)}")
     if kind == "cauchy_gl":
         lhs = _sym_dim(n * p, d)
         rhs = sum(
@@ -597,15 +606,14 @@ def duality_dim_check(kind: str, d: int, n: int | None = None,
                 rhs += (dim_irrep(RepLabel("O", n, lam)) * _gl_dim(lam, k)
                         * _sym_dim(k * (k + 1) // 2, (d - t) // 2))
         return lhs == rhs
-    if kind == "sp_duality":
-        if n < k:
-            raise StableRangeViolation(
-                "duality", [f"sp_duality needs n >= k: {n} < {k}"])
-        lhs = _sym_dim(2 * n * k, d)
-        rhs = 0
-        for t in range(d % 2, d + 1, 2):
-            for lam in partitions_of(t, max_length=min(n, k)):
-                rhs += (dim_irrep(RepLabel("Sp", n, lam)) * _gl_dim(lam, k)
-                        * _sym_dim(k * (k - 1) // 2, (d - t) // 2))
-        return lhs == rhs
-    raise ValueError(f"unknown duality kind {kind!r}")
+    # sp_duality
+    if n < k:
+        raise StableRangeViolation(
+            "duality", [f"sp_duality needs n >= k: {n} < {k}"])
+    lhs = _sym_dim(2 * n * k, d)
+    rhs = 0
+    for t in range(d % 2, d + 1, 2):
+        for lam in partitions_of(t, max_length=min(n, k)):
+            rhs += (dim_irrep(RepLabel("Sp", n, lam)) * _gl_dim(lam, k)
+                    * _sym_dim(k * (k - 1) // 2, (d - t) // 2))
+    return lhs == rhs

@@ -193,12 +193,19 @@ class GLLabel(NamedTuple):
         return sum(self.plus) + sum(self.minus)
 
 
+def is_partition(parts: Sequence[int]) -> bool:
+    """Whether the parts neither increase anywhere nor go negative; zero
+    parts pass.  Weakly decreasing, the parts are all >= 0 when the last
+    one is."""
+    return not any(map(lt, parts, parts[1:])) and not (parts and parts[-1] < 0)
+
+
 def check_partitions(family: str, data) -> None:
     """Raise InvalidLabel unless the family's label data holds partitions
     only: the GLLabel's plus and minus for GL, the one partition otherwise.
     A negative part or an increasing pair of parts has no highest weight."""
     for part in data if isinstance(data, GLLabel) else (data,):
-        if any(x < 0 for x in part) or any(map(lt, part, part[1:])):
+        if not is_partition(part):
             where = f": {part}" if isinstance(data, GLLabel) else ""
             raise InvalidLabel(f"{family} label {data}{where} is not a partition")
 

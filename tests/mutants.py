@@ -9,9 +9,12 @@ line on what it breaks.  Run
 to check them (all of them when no name is given).  For each mutant the
 checkout is copied to a temporary directory, the mutant is applied to the
 copy's ``src/``, and the tier-1 suite, less the record's own check
-(``SELF_CHECK``), runs on the copy with ``-x``.  One
-line is printed per mutant: the first failing test, or SURVIVED, and the
-time taken.  The exit code is 1 when a mutant survived, else 0.
+(``SELF_CHECK``), runs on the copy with ``-x``.  The first failing test
+is then run again on the copy with the mutant taken out: a test that
+fails there too kills every mutant, so it is reported as BASELINE FAILS
+and the run stops.  One line is printed per mutant: the first failing
+test, SURVIVED or BASELINE FAILS, and the time taken.  The exit code is
+1 when a mutant survived or the baseline fails, else 0.
 
 Standard library only.  pytest does not collect this file (its name does
 not start with ``test_``); tests/test_structure.py checks only that each
@@ -76,6 +79,20 @@ MUTANTS = (
         "branch_decompose's gl-sum map keys a polynomial (μ, ν) with"
         " |μ|+|ν| >= 8 and |μ| > |ν| as (ν, μ), which keeps the dimension"
         " at equal ranks only"),
+    Mutant(
+        "gl-sum-per-cell-drops-long-gamma", "branching.py",
+        "        c2 = lr_coeff(gm, mu.minus, nu.minus)\n",
+        "        c2 = lr_coeff(gm, mu.minus, nu.minus)\n"
+        "        if len(gm) >= 2 and sum(lam.plus) >= 3:\n"
+        "            c2 = 0\n",
+        "direct_sum_gl_sum drops γ- with ℓ(γ-) >= 2 when |λ+| >= 3"),
+    Mutant(
+        "gl-diag-per-cell-drops-long-a2", "branching.py",
+        " " * 28 + "c1 = skew_expand(lam.plus, a1).get(a2, 0)\n",
+        " " * 28 + "c1 = skew_expand(lam.plus, a1).get(a2, 0)\n"
+        + " " * 28 + "if len(a2) >= 2 and lam.minus:\n"
+        + " " * 32 + "c1 = 0\n",
+        "diagonal_gl_sum drops a2 with ℓ(a2) >= 2 when λ- is not empty"),
 )
 
 
@@ -90,30 +107,50 @@ def mutated(mutant: Mutant, src: Path = ROOT / "src") -> str:
     return text.replace(mutant.old, mutant.new)
 
 
+def _pytest(copy: Path, *args: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-rfE",
+         "-p", "no:cacheprovider", *args],
+        cwd=copy, env=dict(os.environ, PYTHONPATH=str(copy / "src")),
+        capture_output=True, text=True)
+
+
+def _first_failure(stdout: str) -> str | None:
+    """The node id of the first failing test in pytest's -rfE summary."""
+    for line in stdout.splitlines():
+        if line.startswith(("FAILED ", "ERROR ")):
+            return line.split(" - ")[0].split(" ", 1)[1]
+    return None
+
+
 def run(mutant: Mutant) -> tuple[str, float]:
     """Tier-1 on a mutated copy of the checkout: the first failing test,
-    or SURVIVED, and the seconds taken."""
+    SURVIVED, or BASELINE FAILS when that test also fails without the
+    mutant; and the seconds taken."""
     ignore = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache",
                                     ".hypothesis", ".benchmarks", "out")
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp) / "checkout"
         shutil.copytree(ROOT, copy, ignore=ignore)
-        (copy / "src" / "branchkit" / mutant.path).write_text(
-            mutated(mutant, copy / "src"), encoding="utf-8")
-        env = dict(os.environ, PYTHONPATH=str(copy / "src"))
+        target = copy / "src" / "branchkit" / mutant.path
+        original = target.read_text(encoding="utf-8")
+        target.write_text(mutated(mutant, copy / "src"), encoding="utf-8")
         start = time.perf_counter()
-        done = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-x", "-rfE",
-             "-p", "no:cacheprovider", "--continue-on-collection-errors",
-             "--deselect", SELF_CHECK],
-            cwd=copy, env=env, capture_output=True, text=True)
+        suite = ("-x", "--continue-on-collection-errors", "--deselect",
+                 SELF_CHECK)
+        done = _pytest(copy, *suite)
+        if done.returncode == 0:
+            outcome = "SURVIVED"
+        else:
+            killer = _first_failure(done.stdout)
+            target.write_text(original, encoding="utf-8")
+            again = _pytest(copy, *([killer] if killer else suite))
+            if again.returncode:
+                outcome = f"BASELINE FAILS: {killer or 'tier-1'}"
+            else:
+                outcome = killer or f"killed (pytest exit {done.returncode})"
         seconds = time.perf_counter() - start
-    if done.returncode == 0:
-        return "SURVIVED", seconds
-    for line in done.stdout.splitlines():
-        if line.startswith(("FAILED ", "ERROR ")):
-            return line.split(" - ")[0], seconds
-    return f"killed (pytest exit {done.returncode})", seconds
+    return outcome, seconds
 
 
 def main(names: list[str]) -> int:
@@ -126,8 +163,10 @@ def main(names: list[str]) -> int:
     survived = False
     for mutant in [by_name[name] for name in names] or MUTANTS:
         outcome, seconds = run(mutant)
-        survived |= outcome == "SURVIVED"
         print(f"{mutant.name}: {outcome} ({seconds:.1f} s)", flush=True)
+        if outcome.startswith("BASELINE FAILS"):
+            return 1
+        survived |= outcome == "SURVIVED"
     return 1 if survived else 0
 
 

@@ -1,5 +1,6 @@
 import itertools
 from collections import Counter, defaultdict
+from functools import cache
 from math import inf
 
 import pytest
@@ -229,8 +230,6 @@ class TestDiagonal:
                         diagonal_onsp_sum(lam, nu, mu)
 
     def test_symmetry_in_factors_gl(self):
-        from branchkit.verify import gl_labels
-
         labels = gl_labels(3)
         for mu in labels:
             for nu in labels:
@@ -389,94 +388,6 @@ def test_query_shapes():
     with pytest.raises(InvalidLabel):
         BranchingQuery("o-diag", RepLabel("O", 8, (1,)),
                        (RepLabel("O", 8, (1,)),)).validate_labels()
-
-
-def test_decompose_map_matches_single_queries():
-    # the decomposition map and the one-label query path must agree key
-    # by key, including on labels absent from the map
-    from branchkit.partitions import partitions_up_to
-
-    cases = [
-        ("o-diag", ((2, 1), (1, 1)), (12,)),
-        ("sp-diag", ((2,), (1, 1)), (5,)),
-        ("o-sum", (2, 2), (10, 10)),
-        ("sp-sum", (2, 1), (3, 3)),
-        ("gl-in-sp", (2, 2), (4,)),
-        ("gl-in-o", (2, 1, 1), (8,)),
-        ("gl-diag", (L((2, 1), (1,)), L((1,), (1, 1))), (6,)),
-        ("gl-sum", L((2, 1), (1, 1)), (4, 4)),
-        ("o-in-gl", L((2, 1), (1,)), (12,)),
-        ("sp-in-gl", L((2, 1), (2,)), (4,)),
-    ]
-
-    def gl_labels(size):
-        return [GLLabel(p, m) for p in partitions_up_to(size)
-                for m in partitions_up_to(size - sum(p))]
-
-    def size(label):
-        if isinstance(label, GLLabel):
-            return label.total_size()
-        if label and isinstance(label[0], tuple):  # tensor factors
-            return sum(size(x) for x in label)
-        return sum(label)
-
-    for pair, big, ranks in cases:
-        rule = PAIRS[pair]
-        dec = branch_decompose(pair, big, ranks)
-        assert dec, pair
-        # every small label of size up to the big side's, in query layout
-        top = size(big)
-        if rule.small == "GL":
-            keys = gl_labels(top)
-        else:
-            keys = list(partitions_up_to(top))
-        if rule.kind == "sum":
-            keys = [(mu, nu) for mu in keys for nu in keys
-                    if size(mu) + size(nu) <= top]
-        assert set(dec) <= set(keys), pair
-        for key in keys:
-            if rule.kind == "diag":
-                q = query(pair, ranks, key, list(big))
-            else:
-                q = query(pair, ranks, big, list(key) if rule.kind == "sum"
-                          else [key])
-            if stable_range_violations(q):
-                continue
-            assert branching_multiplicity(q) == dec.get(key, 0), (pair, key)
-
-
-def test_per_cell_sums_match_the_decomposition_maps():
-    # branching_multiplicity answers one cell through a second
-    # transcription of the rule (the per-cell sums): hold it against
-    # branch_decompose's entry, zeros included, on every gl-sum cell with
-    # labels of size <= 4 and every gl-diag cell with labels of size <= 3,
-    # each at the cell's stable rank
-    cells = 0
-    labels = gl_labels(4)
-    for big in labels:
-        dec = branch_decompose("gl-sum", big)
-        for mu in labels:
-            for nu in labels:
-                n = stable_rank("gl-sum", big, (mu, nu))
-                q = query("gl-sum", (n, n), big, [mu, nu])
-                assert branching_multiplicity(q) == dec.get((mu, nu), 0), q
-                cells += 1
-    labels = gl_labels(3)
-    maps = {}
-    for mu in labels:
-        for nu in labels:
-            for lam in labels:
-                n = stable_rank("gl-diag", lam, (mu, nu))
-                if n == inf:
-                    continue
-                if (mu, nu, n) not in maps:
-                    maps[mu, nu, n] = branch_decompose("gl-diag", (mu, nu),
-                                                       (n,))
-                q = query("gl-diag", (n,), lam, [mu, nu])
-                assert (branching_multiplicity(q)
-                        == maps[mu, nu, n].get(lam, 0)), q
-                cells += 1
-    assert cells == 58_677  # 54,872 gl-sum and 3,805 gl-diag cells
 
 
 @pytest.mark.parametrize("mode", ["rows", "columns"])
@@ -722,7 +633,14 @@ def _query_sides(rule, big, key):
     return big, (key,)
 
 
+# per pair, the cells compared once more, one rank above their input's least
+_ONE_RANK_ABOVE = {"gl-diag": 3_805, "gl-sum": 2_360, "o-diag": 306,
+                   "sp-diag": 306, "o-sum": 170, "sp-sum": 170, "gl-in-o": 81,
+                   "gl-in-sp": 81, "o-in-gl": 95, "sp-in-gl": 95}
+
+
 @pytest.mark.parametrize("pair, size, entries, cells", [
+    ("gl-diag", 3, 1_249, 3_805), ("gl-sum", 5, 898, 54_872),
     ("o-diag", 5, 5_081, 343), ("sp-diag", 5, 5_081, 343),
     ("o-sum", 6, 492, 343), ("sp-sum", 6, 492, 343),
     ("gl-in-o", 5, 198, 126), ("gl-in-sp", 5, 198, 126),
@@ -730,12 +648,13 @@ def _query_sides(rule, big, key):
 def test_every_per_cell_sum_matches_its_decomposition_map(pair, size, entries,
                                                           cells):
     # the per-cell sums behind branching_multiplicity, held against
-    # branch_decompose on the other eight pairs: every nonzero entry of
-    # each grid input's map up to ``size``, decomposed at the input's
-    # least stable rank (for an orthogonal subgroup no lower than the
-    # grid's floor 2·size+2), each entry queried at that rank or at its
-    # cell's stable rank if higher; then every cell of size <= 3, zeros
-    # included, against the map at the cell's own stable rank
+    # branch_decompose on all ten pairs: every nonzero entry of each grid
+    # input's map up to ``size``, decomposed at the input's least stable
+    # rank (for an orthogonal subgroup no lower than the grid's floor
+    # 2·size+2), each entry queried at that rank or at its cell's stable
+    # rank if higher; then every cell up to size 3 (gl-sum: 4), zeros
+    # included, at its own stable rank, and at one rank above its input's
+    # least rank when the input has size <= 3
     rule = PAIRS[pair]
     ranks = (lambda n: (n, n)) if rule.kind == "sum" else (lambda n: (n,))
 
@@ -747,30 +666,44 @@ def test_every_per_cell_sum_matches_its_decomposition_map(pair, size, entries,
             return list(itertools.product(smalls, smalls)), keys
         return _grid_labels(rule.big, cap), keys
 
+    def rank(big, key):
+        return stable_rank(pair, *_query_sides(rule, big, key))
+
     def formula(big, key, n):
-        q_big, small = _query_sides(rule, big, key)
-        n = max(n, stable_rank(pair, q_big, small))
-        return branching_multiplicity(query(pair, ranks(n), q_big, small))
+        return branching_multiplicity(
+            query(pair, ranks(n), *_query_sides(rule, big, key)))
+
+    @cache
+    def decomposed(big, n):
+        return branch_decompose(pair, big, ranks(n))
 
     floor = 2 * size + 2 if rule.small == "O" else 0
     found = 0
     for big in inputs(size)[0]:
-        n = max(stable_rank(pair, *_query_sides(rule, big, None)), floor)
-        for key, c in branch_decompose(pair, big, ranks(n)).items():
-            assert formula(big, key, n) == c, (pair, n, big, key)
+        n = max(rank(big, None), floor)
+        for key, c in decomposed(big, n).items():
+            assert formula(big, key, max(n, rank(big, key))) == c, (
+                pair, n, big, key)
             found += 1
     assert found == entries
 
-    bigs, keys = inputs(3)
-    maps: dict = {}
+    bigs, keys = inputs(4 if pair == "gl-sum" else 3)
+    small_inputs = set(inputs(3)[0])
+    compared = above = 0
     for big in bigs:
+        least = rank(big, None)
         for key in keys:
-            n = stable_rank(pair, *_query_sides(rule, big, key))
-            if (big, n) not in maps:
-                maps[big, n] = branch_decompose(pair, big, ranks(n))
-            assert formula(big, key, n) == maps[big, n].get(key, 0), (
-                pair, n, big, key)
-    assert len(bigs) * len(keys) == cells
+            n = rank(big, key)
+            if n == inf:
+                continue
+            # a cell first stable at least + 1 is compared there already
+            padded = n == least and big in small_inputs
+            for m in (n, n + 1) if padded else (n,):
+                want = decomposed(big, m).get(key, 0)
+                assert formula(big, key, m) == want, (pair, m, big, key)
+            compared += 1
+            above += padded
+    assert (compared, above) == (cells, _ONE_RANK_ABOVE[pair])
 
 
 def _sum_rule_labels():

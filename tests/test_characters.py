@@ -187,27 +187,14 @@ def test_dimensions_match_the_fraction_product_at_higher_rank():
                 assert dim_of_weight(g, tuple(w)) == expected, (g, w)
 
 
-def test_dimensions_match_the_weight_system_size():
-    # every dominant weight with entries at most 2 in absolute value: many
-    # zero entries, whose roots the product leaves out
+def test_weyl_dims_takes_many_weights_in_one_call():
+    # every dominant weight with entries at most 2 in absolute value; one
+    # call mixes every zero block, so a denominator kept for one block and
+    # read for another shows; each answer is its weight system's size
     from itertools import combinations_with_replacement
 
     for fam in FAMILIES:
         for rank in range(1, 7):
-            g = GroupSpec(fam, rank)
-            for w in combinations_with_replacement(range(2, -3, -1), rank):
-                if is_dominant(g, w):
-                    assert dim_of_weight(g, w) == \
-                        sum(full_weight_support(g, w).values()), (g, w)
-
-
-def test_weyl_dims_takes_many_weights_in_one_call():
-    # one call mixes every zero block, so a denominator kept for one block
-    # and read for another shows; each answer is its weight system's size
-    from itertools import combinations_with_replacement
-
-    for fam in FAMILIES:
-        for rank in range(1, 5):
             g = GroupSpec(fam, rank)
             ws = [w for w in combinations_with_replacement(range(2, -3, -1), rank)
                   if is_dominant(g, w)]

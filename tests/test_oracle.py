@@ -155,6 +155,14 @@ class TestDuality:
             duality_dim_check("sp_duality", 2, n=1, k=2)
         with pytest.raises(ValueError):
             duality_dim_check("nope", 2, n=1, k=1)
+        for kind, missing in [("cauchy_gl", "n and p"), ("sym_square", "k"),
+                              ("wedge_square", "k"), ("o_duality", "n and k"),
+                              ("sp_duality", "n and k")]:
+            needs = f"^duality kind '{kind}' needs {missing}$"
+            with pytest.raises(ValueError, match=needs):
+                duality_dim_check(kind, 2)
+        with pytest.raises(ValueError, match="'cauchy_gl' needs p$"):
+            duality_dim_check("cauchy_gl", 2, n=2)
 
 
 def test_oracle_decomposition_memoized_symmetric():

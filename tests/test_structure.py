@@ -12,8 +12,12 @@ purpose (a benchmark that empties the memos between rounds must know it).
 """
 
 import ast
+import subprocess
 from pathlib import Path
 
+import pytest
+
+import mutants
 from branchkit.branching import PAIR_IDS
 from mutants import MUTANTS, mutated
 
@@ -343,3 +347,34 @@ def test_each_recorded_mutant_still_applies():
     assert len({m.name for m in MUTANTS}) == len(MUTANTS)
     for mutant in MUTANTS:
         ast.parse(mutated(mutant), mutant.path)
+
+
+@pytest.mark.parametrize("codes, outcome, status", [
+    ((1, 1), "BASELINE FAILS: tests/test_x.py::test_y", 1),
+    ((1, 0), "tests/test_x.py::test_y", 0),
+    ((0,), "SURVIVED", 1)])
+def test_the_mutant_runner_reruns_the_killer_without_the_mutant(
+        monkeypatch, capsys, codes, outcome, status):
+    # pytest stubbed out: a mutated run fails or passes as ``codes`` say,
+    # and a failure's first test is run again on the copy, the mutant
+    # taken out; a test that fails there too is the baseline's fault
+    mutant = MUTANTS[0]
+    calls = []
+
+    def fake_run(argv, cwd, **kwargs):
+        text = (Path(cwd) / "src" / "branchkit" / mutant.path).read_text(
+            encoding="utf-8")
+        args = argv[argv.index("no:cacheprovider") + 1:]
+        calls.append((args, text == mutated(mutant)))
+        code = codes[len(calls) - 1]
+        stdout = "FAILED tests/test_x.py::test_y - AssertionError\n"
+        return subprocess.CompletedProcess(argv, code,
+                                           stdout if code else "", "")
+
+    monkeypatch.setattr(mutants.subprocess, "run", fake_run)
+    assert mutants.main([mutant.name]) == status
+    assert capsys.readouterr().out.startswith(f"{mutant.name}: {outcome} (")
+    suite = ["-x", "--continue-on-collection-errors",
+             "--deselect", mutants.SELF_CHECK]
+    assert calls == [(suite, True), (["tests/test_x.py::test_y"], False)][
+        :len(codes)]
