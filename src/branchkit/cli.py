@@ -8,9 +8,11 @@ Exit codes: 0 success, 1 usage or parse error, 2 stable-range violation,
 ``branchkit verify | head -1``); the rest of the output is dropped
 without a traceback.
 
-verify runs each grid at the acceptance suite's cap for it, read from
-verify.DEFAULT_MAX_SIZE, unless --max-size sets one cap for all.
-selftest is verify --pair all --max-size 2, then a PASS or FAIL line.
+verify prints a line per check of verify.checks, the one list of checks,
+as each is done.  --max-size N reaches the grids at N and the Littlewood
+sweep at N+1; the duality and lr-spot sweeps and the padding probe keep
+their own sizes.  --seed goes only with --pair all.  selftest is verify
+--pair all --max-size 2, then a PASS or FAIL line.
 
 If BRANCHKIT_CACHE names a file, the Littlewood-Richardson memo is loaded
 from it on startup and saved to it on exit; otherwise the cache is
@@ -39,7 +41,6 @@ import time
 
 from . import lr
 from .branching import (
-    PAIR_IDS,
     RepLabel,
     branch_decompose,
     branching_multiplicity,
@@ -213,41 +214,22 @@ def cmd_lr(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .verify import (
-        run_duality_sweeps,
-        run_grid,
-        run_littlewood_consistency,
-        run_lr_spot_checks,
-        run_padding_probe,
-    )
-
-    pairs = PAIR_IDS if args.pair == "all" else (args.pair,)
-    for p in pairs:
-        rule_of(p)
-    cap = args.max_size  # None: each grid's and sweep's own default
+    from .verify import checks  # only verify and selftest load the oracle
+    cap = args.max_size
     if cap is not None and cap < 0:  # a negative cap would compare nothing
         raise ParseError(f"--max-size must be >= 0, got {cap}")
-    reports = [run_grid(p, cap) for p in pairs]
-    if args.pair == "all":
-        reports.append(run_littlewood_consistency() if cap is None
-                       else run_littlewood_consistency(cap + 1))
-        reports.append(run_duality_sweeps())
-        reports.append(run_lr_spot_checks(seed=args.seed))
-    for rep in reports:
-        print(rep.line())
-    failed = not all(rep.ok for rep in reports)
-    if args.pair == "all":
-        probe = run_padding_probe()
-        status = ("no deviations" if probe.ok
-                  else f"{len(probe.mismatches)} deviations (finding, not failure)")
-        print(f"{probe.pair}: {probe.cases} cases, {status}")
+    if args.seed is not None and args.pair != "all":  # only lr-spot reads it
+        raise ParseError("--seed goes only with --pair all")
+    failed = False
+    for report in checks(args.pair, cap, args.seed):
+        print(report.line())
+        failed |= not (report.ok or report.finding)
     return EXIT_MISMATCH if failed else EXIT_OK
 
 
 def cmd_selftest(args) -> int:
     """``verify --pair all --max-size 2``, then a verdict line."""
-    code = cmd_verify(build_parser().parse_args(
-        ["verify", "--pair", "all", "--max-size", "2"]))
+    code = cmd_verify(argparse.Namespace(pair="all", max_size=2, seed=None))
     print("selftest:", "FAIL" if code else "PASS")
     return code
 
@@ -296,7 +278,7 @@ def build_parser() -> _Parser:
     pv.add_argument("--max-size", type=int,
                     help="one size cap N for every grid, N+1 for Littlewood "
                          "(default: verify.DEFAULT_MAX_SIZE, Littlewood 6)")
-    pv.add_argument("--seed", type=int, default=1)
+    pv.add_argument("--seed", type=int, help="lr-spot's seed (default 1)")
     pv.set_defaults(func=cmd_verify)
 
     ps = sub.add_parser("selftest", help="quick internal consistency run")

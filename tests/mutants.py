@@ -93,6 +93,11 @@ MUTANTS = (
         + " " * 28 + "if len(a2) >= 2 and lam.minus:\n"
         + " " * 32 + "c1 = 0\n",
         "diagonal_gl_sum drops a2 with ℓ(a2) >= 2 when λ- is not empty"),
+    Mutant(
+        "checks-give-littlewood-the-grid-cap", "verify.py",
+        "run_littlewood_consistency(cap + 1)",
+        "run_littlewood_consistency(cap)",
+        "verify.checks runs the Littlewood sweep at a size cap N, not N+1"),
 )
 
 

@@ -5,9 +5,11 @@ pass lines.  Everything is exact integer arithmetic; there are no numeric
 tolerances to tune.
 """
 
+from math import prod
+
 import pytest
 
-from branchkit.branching import PAIR_IDS, branch_decompose
+from branchkit.branching import PAIR_IDS, PAIRS, branch_decompose
 from branchkit.characters import (
     GL,
     GroupSpec,
@@ -21,6 +23,7 @@ from branchkit.characters import _alternating_sum  # self-check needs the pieces
 from branchkit.lr import lr_coeff, lr_count_direct, tensor_expand
 from branchkit.oracle import dim_irrep
 from branchkit.branching import RepLabel
+from branchkit.pairs import label_ranks
 from branchkit.partitions import (
     GLLabel,
     conjugate,
@@ -56,7 +59,7 @@ GRID_CASES = {"gl-diag": 266_901, "o-diag": 27_000, "sp-diag": 27_000,
 
 @pytest.mark.parametrize("pair", PAIR_IDS)
 def test_criterion_1_formula_vs_oracle(pair):
-    report = run_grid(pair, DEFAULT_MAX_SIZE[pair])
+    report = run_grid(pair)
     _report(
         f"criterion 1 [{pair}]", report.ok,
         f"{report.cases} cases at size <= {DEFAULT_MAX_SIZE[pair]}, "
@@ -70,7 +73,7 @@ def test_criterion_1_formula_vs_oracle(pair):
 
 
 def test_criterion_2_littlewood_consistency():
-    report = run_littlewood_consistency(6)
+    report = run_littlewood_consistency()
     _report("criterion 2 [littlewood]", report.ok,
             f"{report.cases} cases, {len(report.mismatches)} mismatches")
     assert report.ok, report.mismatches[:5]
@@ -130,7 +133,7 @@ def test_criterion_3_tensor_expand_vs_schur_products():
 
 
 def test_criterion_4_duality_dimensions():
-    report = run_duality_sweeps(8)
+    report = run_duality_sweeps()
     _report("criterion 4 [duality dims]", report.ok,
             f"{report.cases} identities, {len(report.mismatches)} failures")
     assert report.ok, report.mismatches[:5]
@@ -141,63 +144,63 @@ def test_criterion_4_duality_dimensions():
 
 
 def _conservation_cases(max_size=4):
+    """(pair, big, ranks): every big-side input up to max_size, at a rank
+    chosen per pair that holds all of its decomposition's keys."""
     parts = partition_labels(max_size)
     gls = gl_labels(max_size)
     for mu in parts:
         for nu in parts:
             n = max(2 * (sum(mu) + sum(nu)) + 2, 2 * (len(mu) + len(nu)))
-            yield ("o-diag", (mu, nu), (n,),
-                   lambda lam, n=n: dim_irrep(RepLabel("O", n, lam)),
-                   dim_irrep(RepLabel("O", n, mu)) * dim_irrep(RepLabel("O", n, nu)))
+            yield "o-diag", (mu, nu), (n,)
             k = max(len(mu) + len(nu), sum(mu) + sum(nu), 1)
-            yield ("sp-diag", (mu, nu), (k,),
-                   lambda lam, k=k: dim_irrep(RepLabel("Sp", k, lam)),
-                   dim_irrep(RepLabel("Sp", k, mu)) * dim_irrep(RepLabel("Sp", k, nu)))
+            yield "sp-diag", (mu, nu), (k,)
     for mu in gls:
         for nu in gls:
             n = max(len(mu.plus) + len(mu.minus)
                     + len(nu.plus) + len(nu.minus), 1)
             n = max(n, mu.total_size() + nu.total_size())  # room for all keys
-            yield ("gl-diag", (mu, nu), (n,),
-                   lambda lam, n=n: dim_irrep(RepLabel("GL", n, lam)),
-                   dim_irrep(RepLabel("GL", n, mu)) * dim_irrep(RepLabel("GL", n, nu)))
+            yield "gl-diag", (mu, nu), (n,)
     for lam in gls:
         n = m = max(lam.total_size(), 1)
-        yield ("gl-sum", lam, (n, m),
-               lambda key, n=n, m=m: dim_irrep(RepLabel("GL", n, key[0]))
-               * dim_irrep(RepLabel("GL", m, key[1])),
-               dim_irrep(RepLabel("GL", n + m, lam)))
+        yield "gl-sum", lam, (n, m)
         n = max(lam.total_size(), 1)
-        yield ("sp-in-gl", lam, (n,),
-               lambda mu, n=n: dim_irrep(RepLabel("Sp", n, mu)),
-               dim_irrep(RepLabel("GL", 2 * n, lam)))
+        yield "sp-in-gl", lam, (n,)
         n = max(2 * lam.total_size() + 2, 2)
-        yield ("o-in-gl", lam, (n,),
-               lambda mu, n=n: dim_irrep(RepLabel("O", n, mu)),
-               dim_irrep(RepLabel("GL", n, lam)))
+        yield "o-in-gl", lam, (n,)
     for lam in parts:
         n = m = max(2 * sum(lam) + 2, 2)
-        yield ("o-sum", lam, (n, m),
-               lambda key, n=n, m=m: dim_irrep(RepLabel("O", n, key[0]))
-               * dim_irrep(RepLabel("O", m, key[1])),
-               dim_irrep(RepLabel("O", n + m, lam)))
+        yield "o-sum", lam, (n, m)
         n = m = max(sum(lam), 1)
-        yield ("sp-sum", lam, (n, m),
-               lambda key, n=n, m=m: dim_irrep(RepLabel("Sp", n, key[0]))
-               * dim_irrep(RepLabel("Sp", m, key[1])),
-               dim_irrep(RepLabel("Sp", n + m, lam)))
+        yield "sp-sum", lam, (n, m)
         n = max(2 * len(lam), 1)
-        yield ("gl-in-o", lam, (n,),
-               lambda mu, n=n: dim_irrep(RepLabel("GL", n, mu)),
-               dim_irrep(RepLabel("O", 2 * n, lam)))
-        yield ("gl-in-sp", lam, (n,),
-               lambda mu, n=n: dim_irrep(RepLabel("GL", n, mu)),
-               dim_irrep(RepLabel("Sp", n, lam)))
+        yield "gl-in-o", lam, (n,)
+        yield "gl-in-sp", lam, (n,)
+
+
+def _conservation_dims(pair, big, ranks):
+    """The big side's dimension, and a function giving each key's, read
+    from the pair's rule and pairs.label_ranks: a diagonal pair's big side
+    is its two tensor factors, a sum rule's key its two factor labels."""
+    rule = PAIRS[pair]
+    big_rank, small_ranks = label_ranks(pair, ranks)
+
+    def dim(family, labels, ranks):
+        return prod(dim_irrep(RepLabel(family, rank, label))
+                    for rank, label in zip(ranks, labels))
+
+    if rule.kind == "diag":
+        big_dim = dim(rule.small, big, small_ranks)
+    else:
+        big_dim = dim(rule.big, (big,), (big_rank,))
+    if rule.kind == "sum":
+        return big_dim, lambda key: dim(rule.small, key, small_ranks)
+    return big_dim, lambda key: dim(rule.small, (key,), small_ranks)
 
 
 def test_criterion_5_dimension_conservation():
     cases = 0
-    for pair, big, ranks, small_dim, big_dim in _conservation_cases(4):
+    for pair, big, ranks in _conservation_cases(4):
+        big_dim, small_dim = _conservation_dims(pair, big, ranks)
         dec = branch_decompose(pair, big, ranks)
         total = sum(mult * small_dim(key) for key, mult in dec.items())
         assert total == big_dim, (pair, big, ranks, total, big_dim)
@@ -269,7 +272,7 @@ def test_criterion_6_character_self_checks():
 
 
 def test_criterion_7_padding_probe():
-    report = run_padding_probe(3)
+    report = run_padding_probe()
     detail = (f"{report.cases} sums compared at minimal vs padded caps; "
               f"{len(report.mismatches)} deviations")
     _report("criterion 7 [padding probe]", True, detail)

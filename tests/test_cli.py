@@ -436,6 +436,29 @@ def test_verify_rejects_negative_max_size(capsys):
     assert err == "error: --max-size must be >= 0, got -1\n"
 
 
+def test_verify_refuses_a_seed_that_no_check_reads(capsys, monkeypatch):
+    # only the lr-spot sweep reads --seed, and it runs with --pair all
+    import branchkit.verify as verify_mod
+
+    code, out, err = run_cli(capsys, "verify", "--pair", "o-diag",
+                             "--max-size", "1", "--seed", "5")
+    assert (code, out) == (1, "")
+    assert err == "error: --seed goes only with --pair all\n"
+    seeds = []
+    real = verify_mod.run_lr_spot_checks
+
+    def spot(count=60, seed=1):
+        seeds.append(seed)
+        return real(count, seed)
+
+    monkeypatch.setattr(verify_mod, "run_lr_spot_checks", spot)
+    for argv in ([], ["--seed", "5"]):
+        code, _, _ = run_cli(capsys, "verify", "--pair", "all",
+                             "--max-size", "0", *argv)
+        assert code == 0
+    assert seeds == [1, 5]
+
+
 def test_branch_rejects_m_on_one_rank_pair(capsys):
     code, out, err = run_cli(
         capsys, "branch", "--pair", "o-diag", "-n", "8",

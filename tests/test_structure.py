@@ -6,9 +6,10 @@ comparison against a pair-id literal, or a prefix or suffix test on a pair
 id, would put a per-pair fact back outside it; so would reading a rule's
 rank scale anywhere but in pairs.label_ranks.  The oracle and the
 character layer share no code with the LR machinery they are held
-against, and decompositions enumerate no candidate labels.  The
-package's memos are a fixed, named set, so that a new one is added on
-purpose (a benchmark that empties the memos between rounds must know it).
+against, and decompositions enumerate no candidate labels.  The CLI
+leaves the list of checks to verify.checks.  The package's memos are a
+fixed, named set, so that a new one is added on purpose (a benchmark that
+empties the memos between rounds must know it).
 """
 
 import ast
@@ -18,6 +19,7 @@ from pathlib import Path
 import pytest
 
 import mutants
+from branchkit import verify
 from branchkit.branching import PAIR_IDS
 from mutants import MUTANTS, mutated
 
@@ -112,6 +114,50 @@ def test_character_layer_does_not_import_the_formulas():
     imported = {node.module for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom)}
     assert not imported & {"branching", "lr"}, imported
+
+
+# the checks verify runs by name; the CLI reaches them only through
+# verify.checks, the one list of checks
+VERIFY_RUNS = {name for name in vars(verify) if name.startswith("run_")}
+
+
+def checks_named_in_the_cli(source: str) -> list[str]:
+    """Each name, attribute or import of a verify run_* function, and each
+    call of build_parser inside cmd_selftest, as 'line: code'."""
+    tree = ast.parse(source)
+    found = []
+    for node in ast.walk(tree):
+        name = (node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute)
+                else node.name if isinstance(node, ast.alias) else None)
+        if name in VERIFY_RUNS:
+            found.append(f"{node.lineno}: {ast.unparse(node)}")
+    for fn in tree.body:
+        if isinstance(fn, ast.FunctionDef) and fn.name == "cmd_selftest":
+            found += [f"{node.lineno}: {ast.unparse(node)}"
+                      for node in ast.walk(fn) if isinstance(node, ast.Call)
+                      and ast.unparse(node.func) == "build_parser"]
+    return found
+
+
+def test_the_check_sees_checks_named_in_the_cli():
+    for code in ("from .verify import run_grid",
+                 "from .verify import (checks, run_padding_probe)",
+                 "verify.run_duality_sweeps()", "run_lr_spot_checks(seed=1)",
+                 "def cmd_selftest(args):\n"
+                 "    return cmd_verify(build_parser().parse_args([]))"):
+        assert checks_named_in_the_cli(code), code
+    for code in ("from .verify import checks", "verify.checks(cap=2)",
+                 "run_checks = 1", "def main():\n    build_parser()"):
+        assert not checks_named_in_the_cli(code), code
+
+
+def test_the_cli_leaves_the_list_of_checks_to_verify():
+    """cmd_verify and selftest read verify.checks: the CLI names no single
+    check, and selftest runs the checks without parsing an argv."""
+    found = checks_named_in_the_cli((SRC / "cli.py").read_text(
+        encoding="utf-8"))
+    assert not found, "\n".join(found)
 
 
 def _imports(tree, module: str) -> list[str]:
