@@ -17,17 +17,21 @@ their own sizes.  --seed goes only with --pair all.  selftest is verify
 If BRANCHKIT_CACHE names a file, the Littlewood-Richardson memo is loaded
 from it on startup and saved to it on exit; otherwise the cache is
 in-memory only.  Each line of the file holds one skew expansion and ends
-in the CRC-32 of its text (see lr.dump_cache_lines).  After a clean load,
-the save appends only the expansions the file lacked, in one write on an
-O_APPEND descriptor, and writes nothing when there are none.  When there
-was no file, or the load refused it, the save writes the whole memo to a
-temporary file and renames it over the old one; a file from before the
-checksums is refused once and rewritten so.  A cache file that cannot be
-read, parsed or written, or whose line fails its checksum, draws a warning
-on stderr and is ignored; the exit code stays the command's own.  lr
-searches its one coefficient without the memo (lr.lr_coeff), so it
-neither reads nor adds lines; a line with a valid checksum and a wrong
-value can still change what branch and decompose print.
+in the CRC-32 of its text (see lr.dump_cache_lines).  The load checks
+every line's checksum and key; each expansion is parsed the first time the
+command reads it.  After a clean load, the save appends only the
+expansions the file lacked, in one write on an O_APPEND descriptor, and
+writes nothing when there are none.  When there was no file, or the load
+refused it, the save writes the whole memo to a temporary file and renames
+it over the old one; a file from before the checksums is refused once and
+rewritten so.  A cache file that cannot be read or written, whose line
+fails its checksum, or whose key is not two partitions, draws a warning on
+stderr and is ignored; the exit code stays the command's own.  A
+checksummed line whose expansion does not parse draws no warning: that
+expansion is searched again.  lr searches its one coefficient without the
+memo (lr.lr_coeff), so it neither reads nor adds lines; a line with a
+valid checksum and a wrong value can still change what branch and
+decompose print.
 """
 
 from __future__ import annotations

@@ -34,8 +34,10 @@ entry, never an inconsistent one.
 skew_expand, lr_coeff and tensor_expand raise NotAPartition on an
 argument with a negative part or an increasing pair of parts before they
 search; zero parts pass.  A memo hit is not checked: skew_expand stores
-only keys it has checked, and load_cache_lines takes a memo file's keys
-as they are.
+only keys it has checked, and load_cache_lines refuses a memo file with a
+key that is not two partitions.  A loaded entry holds its line's entry
+text until skew_expand first reads it, parses it and puts the map in its
+place; an entry text that does not parse is searched instead.
 """
 
 from __future__ import annotations
@@ -48,8 +50,9 @@ from .partitions import (Partition, contains, is_even_columns, is_even_rows,
 
 _INF = 10 ** 9
 
-# (outer, inner) -> {content: count}; maps are complete and must not be mutated
-_SKEW_CACHE: dict[tuple[Partition, Partition], dict[Partition, int]] = {}
+# (outer, inner) -> {content: count}; maps are complete and must not be
+# mutated.  A str value is a memo file's entry text, not yet parsed.
+_SKEW_CACHE: dict[tuple[Partition, Partition], dict[Partition, int] | str] = {}
 
 
 def _check(*parts: Partition) -> None:
@@ -126,7 +129,13 @@ def skew_expand(outer: Partition, inner: Partition) -> dict[Partition, int]:
     key = (outer, inner)
     cached = _SKEW_CACHE.get(key)
     if cached is not None:
-        return cached
+        if cached.__class__ is not str:
+            return cached
+        try:
+            cached = _SKEW_CACHE[key] = _parse_entries(cached)
+            return cached
+        except ValueError:  # search it instead; the load checked the key
+            pass
     _check(outer, inner)
     if not contains(outer, inner):
         out: dict[Partition, int] = {}
@@ -212,43 +221,64 @@ def clear_cache() -> None:
     _SKEW_CACHE.clear()
 
 
+def _parse_partition(text: str) -> Partition:
+    return tuple(map(int, text.split("."))) if text else ()
+
+
+def _parse_entries(text: str) -> dict[Partition, int]:
+    """The map of a memo line's entry text ``ν:c,ν:c,...``; ValueError
+    when it does not parse."""
+    expansion = {}
+    if text:
+        for item in text.split(","):
+            nu, c = item.split(":")
+            expansion[_parse_partition(nu)] = int(c)
+    return expansion
+
+
 def dump_cache_lines(held=()):
     """Serialize the memo, one complete skew expansion per line, leaving out
     the keys in ``held``.
 
     A line reads ``outer|inner|ν:c,ν:c,...|crc``: partitions as dotted
     parts, and crc the CRC-32 of the text before the last ``|`` in eight
-    hex digits.  The checksum catches a line that two appends spliced
-    together; a line whose checksum holds is loaded whatever it says."""
+    hex digits.  An entry text still unparsed is written as it was read.
+    The checksum catches a line that two appends spliced together; a line
+    whose checksum holds and whose key is two partitions is loaded
+    whatever its entries say."""
     for key, expansion in _SKEW_CACHE.items():
         if key in held:
             continue
         outer, inner = key
-        text = "%s|%s|%s" % (
-            ".".join(map(str, outer)),
-            ".".join(map(str, inner)),
-            ",".join(".".join(map(str, nu)) + ":" + str(c)
-                     for nu, c in sorted(expansion.items())),
-        )
+        if expansion.__class__ is not str:
+            expansion = ",".join(".".join(map(str, nu)) + ":" + str(c)
+                                 for nu, c in sorted(expansion.items()))
+        text = "%s|%s|%s" % (".".join(map(str, outer)),
+                             ".".join(map(str, inner)), expansion)
         yield "%s|%08x" % (text, zlib.crc32(text.encode()))
 
 
 def load_cache_lines(lines):
     """Load lines produced by dump_cache_lines; returns the keys loaded.
 
-    Raises ValueError on a line that does not parse or fails its checksum
-    (a line of the format before checksums among them), and then loads
-    nothing: the memo takes the lines all together or not at all."""
-    # each distinct partition string is parsed once per load
-    parsed: dict[str, Partition] = {"": ()}
+    Raises ValueError on a line that fails its checksum (a line of the
+    format before checksums among them) or whose key is not two
+    partitions (NotAPartition), and then loads nothing: the memo takes the
+    lines all together or not at all.  Only the keys are parsed here; each
+    line's entry text is kept as it is until skew_expand reads its key."""
+    # each distinct partition string is parsed and checked once per load
+    parsed: dict[str, Partition] = {}
 
-    def parse(part: str) -> Partition:
+    def parse(part: str, number: int) -> Partition:
         p = parsed.get(part)
         if p is None:
-            p = parsed[part] = tuple(map(int, part.split(".")))
+            p = _parse_partition(part)
+            if not is_partition(p):
+                raise NotAPartition(f"line {number}: {p} is not a partition")
+            parsed[part] = p
         return p
 
-    loaded: dict[tuple[Partition, Partition], dict[Partition, int]] = {}
+    loaded: dict[tuple[Partition, Partition], str] = {}
     for number, line in enumerate(lines, 1):
         line = line.strip()
         if not line:
@@ -256,12 +286,7 @@ def load_cache_lines(lines):
         text, _, crc = line.rpartition("|")
         if crc != "%08x" % zlib.crc32(text.encode()):
             raise ValueError(f"line {number} fails its checksum")
-        outer_s, inner_s, entries_s = text.split("|")
-        expansion = {}
-        if entries_s:
-            for item in entries_s.split(","):
-                nu_s, c_s = item.split(":")
-                expansion[parse(nu_s)] = int(c_s)
-        loaded[parse(outer_s), parse(inner_s)] = expansion
+        outer, inner, entries = text.split("|")
+        loaded[parse(outer, number), parse(inner, number)] = entries
     _SKEW_CACHE.update(loaded)
     return loaded.keys()

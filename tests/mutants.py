@@ -98,6 +98,14 @@ MUTANTS = (
         "run_littlewood_consistency(cap + 1)",
         "run_littlewood_consistency(cap)",
         "verify.checks runs the Littlewood sweep at a size cap N, not N+1"),
+    Mutant(
+        "memo-load-takes-any-key", "lr.py",
+        "            if not is_partition(p):\n"
+        "                raise NotAPartition(f\"line {number}: {p} is not a"
+        " partition\")\n",
+        "",
+        "load_cache_lines puts a key that is not a partition in the memo,"
+        " where skew_expand answers it unchecked"),
 )
 
 

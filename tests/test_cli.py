@@ -272,7 +272,9 @@ def test_an_append_after_a_last_line_without_its_newline_starts_a_line(
     b"\xff\xfe not a cache file\n",
     # a wrong value under the checksum of the true 3.2.1|2.1 line
     b"3.2.1|2.1|1.1.1:1,2.1:7,3:1|963e75e5\n",
-], ids=["old-format", "garbage", "bad-crc"])
+    # a valid checksum on a key that is not a partition
+    b"1.2|1|2:5|99fe6c2c\n",
+], ids=["old-format", "garbage", "bad-crc", "non-partition-key"])
 def test_a_refused_cache_file_is_rewritten_whole_once(
         tmp_path, monkeypatch, capsys, content):
     cache = tmp_path / "lr-cache.txt"
@@ -300,8 +302,21 @@ def test_a_poisoned_cache_line_leaves_lr_at_its_true_value(
     cache.write_text("3.2.1|2.1|2.1:7,3:1|18830469\n")
     monkeypatch.setenv("BRANCHKIT_CACHE", str(cache))
     code, out, err = run_fresh(capsys, *LR_321)
-    assert lr._SKEW_CACHE[(3, 2, 1), (2, 1)] == {(2, 1): 7, (3,): 1}
+    assert lr.skew_expand((3, 2, 1), (2, 1)) == {(2, 1): 7, (3,): 1}
     assert code == 0 and json.loads(out)["result"] == 2 and err == ""
+
+
+def test_a_checksummed_line_that_does_not_parse_is_searched_unwarned(
+        tmp_path, monkeypatch, capsys):
+    # the load checks only the key; the entries are parsed on first use,
+    # and an entry text that does not parse is searched instead
+    cache = tmp_path / "lr-cache.txt"
+    cache.write_text("3.2.1|2.1|junk|7e1b0642\n")
+    monkeypatch.setenv("BRANCHKIT_CACHE", str(cache))
+    for _ in range(2):
+        code, out, err = run_fresh(capsys, *BRANCH_321)
+        assert code == 0 and json.loads(out)["result"] == 2 and err == ""
+    assert cache.read_bytes().startswith(b"3.2.1|2.1|junk|7e1b0642\n")
 
 
 def test_an_append_spliced_into_another_is_refused_or_true(
@@ -324,7 +339,7 @@ def test_an_append_spliced_into_another_is_refused_or_true(
         outer, inner = key
         truth[key] = (lr._skew_fillings(outer, inner)
                       if contains(outer, inner) else {})
-        assert lr._SKEW_CACHE[key] == truth[key]
+        assert lr.skew_expand(*key) == truth[key]
     boundaries = {0} | {i + 1 for i, byte in enumerate(a) if byte == 10}
     for k in range(len(a) + 1):
         data = base + a[:k] + b + a[k:]
@@ -337,7 +352,7 @@ def test_an_append_spliced_into_another_is_refused_or_true(
             continue
         assert k in boundaries, k
         assert set(keys) == set(truth)
-        assert all(lr._SKEW_CACHE[key] == truth[key] for key in keys)
+        assert all(lr.skew_expand(*key) == truth[key] for key in keys)
 
 
 def test_console_entry_point_subprocess():

@@ -1,10 +1,11 @@
 import random
+import zlib
 from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from branchkit import littlewood_restriction, lr_coeff, skew_expand, tensor_expand
+from branchkit import littlewood_restriction, lr, lr_coeff, skew_expand, tensor_expand
 from branchkit.errors import NotAPartition
 from branchkit.lr import (
     _SKEW_CACHE,
@@ -241,6 +242,70 @@ def test_cache_roundtrip():
     assert load_cache_lines(lines) == keys == set(_SKEW_CACHE)
     assert len(keys) == len(lines)
     assert skew_expand((3, 2, 1), (2, 1)) == {(3,): 1, (2, 1): 2, (1, 1, 1): 1}
+
+
+def _memo_line(text):
+    return "%s|%08x" % (text, zlib.crc32(text.encode()))
+
+
+def test_a_memo_key_that_is_not_a_partition_refuses_the_file():
+    good = _memo_line("3.2.1|2.1|3:1,2.1:2,1.1.1:1")
+    for bad in ("1.2|1|2:5|99fe6c2c", _memo_line("2.1|0.1|2:1"),
+                _memo_line("2.-1|1|1:1")):
+        clear_cache()
+        with pytest.raises(NotAPartition):
+            load_cache_lines([good, bad])
+        assert cache_size() == 0
+    with pytest.raises(NotAPartition):
+        skew_expand((1, 2), (1,))
+
+
+def _filled_memo_lines():
+    clear_cache()
+    for mu, nu in [((2, 1), (1,)), ((3, 1), (2, 1)), ((2, 2), (1, 1))]:
+        tensor_expand(mu, nu)
+    skew_expand((3, 2, 1), (2, 1))
+    skew_expand((2,), (1, 1))  # no containment: an empty expansion
+    lines = list(dump_cache_lines())
+    truth = dict(_SKEW_CACHE)
+    clear_cache()
+    return lines, truth
+
+
+def test_an_unread_memo_dumps_its_file_lines_byte_for_byte():
+    lines, truth = _filled_memo_lines()
+    assert "2|1.1||" in "\n".join(lines)
+    load_cache_lines(lines)
+    assert list(dump_cache_lines()) == lines
+    for key in list(_SKEW_CACHE):
+        assert skew_expand(*key) == truth[key]
+    assert list(dump_cache_lines()) == lines
+
+
+@pytest.mark.parametrize("entries", [
+    "junk", "2.1:7,3", "2.1:x", "2.1:7:3", "a.b:1", "2.1:2,,3:1"])
+def test_a_checksummed_entry_text_that_does_not_parse_is_searched(entries):
+    clear_cache()
+    load_cache_lines([_memo_line("3.2.1|2.1|" + entries)])
+    assert skew_expand((3, 2, 1), (2, 1)) == _skew_fillings((3, 2, 1), (2, 1))
+
+
+def test_a_load_parses_only_the_entries_that_are_read(monkeypatch):
+    lines, truth = _filled_memo_lines()
+    calls = []
+    parse = lr._parse_entries
+
+    def counting(text):
+        calls.append(text)
+        return parse(text)
+
+    monkeypatch.setattr(lr, "_parse_entries", counting)
+    load_cache_lines(lines)
+    assert calls == [] and len(lines) > 2
+    key = ((3, 2, 1), (2, 1))
+    assert skew_expand(*key) == truth[key]
+    assert skew_expand(*key) == truth[key]
+    assert len(calls) == 1
 
 
 def test_public_skew_expand_is_read_only():
