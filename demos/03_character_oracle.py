@@ -14,14 +14,14 @@ from branchkit import (
     restrict_character,
 )
 from branchkit.branching import RepLabel
-from branchkit.characters import Sp, poly_eval_ones
+from branchkit.characters import Sp
 
 print("Characters are exact Laurent polynomials on a maximal torus.")
 chi = irreducible_character(Sp(2), (1, 1))
 print("χ of the 5-dimensional Sp(4) module V(1,1):")
 for e, c in sorted(chi.items(), reverse=True):
     print(f"   {c} · x^{e}")
-print("value at x = (1,1):", poly_eval_ones(chi), "= its dimension")
+print("value at x = (1,1):", sum(chi.values()), "= its dimension")
 print()
 
 print("A branching multiplicity is: build χ of the big module, restrict")

@@ -141,18 +141,6 @@ def two_rho(g: GroupSpec) -> Weight:
     return tuple(2 * (n - 1 - i) for i in range(n))  # SOEven
 
 
-def weyl_order(g: GroupSpec) -> int:
-    import math
-
-    n = g.torus_rank
-    base = math.factorial(n)
-    if g.family == "GL":
-        return base
-    if g.family == "SOEven":
-        return base * 2 ** (n - 1) if n > 1 else 1
-    return base * 2 ** n
-
-
 def is_dominant(g: GroupSpec, w: Weight) -> bool:
     if len(w) != g.torus_rank or not all(map(ge, w, w[1:])):
         return False
@@ -217,14 +205,6 @@ def poly_mul(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
             else:
                 del out[key]
     return out
-
-
-def poly_eval_ones(poly: LaurentPoly) -> int:
-    return sum(poly.values())
-
-
-def poly_invert_variables(poly: LaurentPoly) -> LaurentPoly:
-    return {tuple(-x for x in e): c for e, c in poly.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -484,9 +464,6 @@ def weight_multiplicities(g: GroupSpec, weight) -> MappingProxyType:
             return cached
     lam = ensure_dominant(g, weight)
     key = (g.family, g.torus_rank, lam)
-    cached = _FREUD_CACHE.get(key)
-    if cached is not None:
-        return cached
     tr = two_rho(g)
     lam_norm = _dot(lam, lam) + _dot(lam, tr)
     mults: dict[Weight, int] = {lam: 1}

@@ -580,40 +580,28 @@ def duality_dim_check(kind: str, d: int, n: int | None = None,
             for lam in partitions_of(d, max_length=min(n, p))
         )
         return lhs == rhs
-    if kind == "sym_square":
-        lhs = _sym_dim(k * (k + 1) // 2, d)
-        rhs = sum(
-            _gl_dim(double_rows(delta), k)
-            for delta in partitions_of(d, max_length=k)
-        )
-        return lhs == rhs
-    if kind == "wedge_square":
-        lhs = _sym_dim(k * (k - 1) // 2, d)
-        rhs = 0
-        for delta in partitions_of(d):
-            cols = double_columns(delta)
-            if len(cols) <= k:
-                rhs += _gl_dim(cols, k)
-        return lhs == rhs
-    if kind == "o_duality":
-        if n < 2 * k + 1:
-            raise StableRangeViolation(
-                "duality", [f"o_duality needs n >= 2k+1: {n} < {2 * k + 1}"])
-        lhs = _sym_dim(n * k, d)
-        rhs = 0
-        for t in range(d % 2, d + 1, 2):
-            for lam in partitions_of(t, max_length=k):
-                rhs += (dim_irrep(RepLabel("O", n, lam)) * _gl_dim(lam, k)
-                        * _sym_dim(k * (k + 1) // 2, (d - t) // 2))
-        return lhs == rhs
-    # sp_duality
-    if n < k:
+    if kind in ("sym_square", "wedge_square"):
+        # Sym(S²C^k) holds each even-row GL_k shape once, Sym(Λ²C^k) each
+        # even-column shape, of at most k parts
+        double, space = ((double_rows, k * (k + 1) // 2)
+                         if kind == "sym_square"
+                         else (double_columns, k * (k - 1) // 2))
+        lhs = _sym_dim(space, d)
+        shapes = (double(delta) for delta in partitions_of(d))
+        return lhs == sum(_gl_dim(s, k) for s in shapes if len(s) <= k)
+    # O_n × GL_k on Sym(C^n ⊗ C^k), Sp_n × GL_k on Sym(C^2n ⊗ C^k): the
+    # harmonics E^λ ⊗ V^λ times Sym(S²C^k), or times Sym(Λ²C^k)
+    family, least, bound, space, square, length = {
+        "o_duality": ("O", 2 * k + 1, "2k+1", n * k, k * (k + 1) // 2, k),
+        "sp_duality": ("Sp", k, "k", 2 * n * k, k * (k - 1) // 2, min(n, k)),
+    }[kind]
+    if n < least:
         raise StableRangeViolation(
-            "duality", [f"sp_duality needs n >= k: {n} < {k}"])
-    lhs = _sym_dim(2 * n * k, d)
+            "duality", [f"{kind} needs n >= {bound}: {n} < {least}"])
+    lhs = _sym_dim(space, d)
     rhs = 0
     for t in range(d % 2, d + 1, 2):
-        for lam in partitions_of(t, max_length=min(n, k)):
-            rhs += (dim_irrep(RepLabel("Sp", n, lam)) * _gl_dim(lam, k)
-                    * _sym_dim(k * (k - 1) // 2, (d - t) // 2))
+        for lam in partitions_of(t, max_length=length):
+            rhs += (dim_irrep(RepLabel(family, n, lam)) * _gl_dim(lam, k)
+                    * _sym_dim(square, (d - t) // 2))
     return lhs == rhs

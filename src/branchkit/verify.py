@@ -212,12 +212,10 @@ def run_duality_sweeps(max_degree: int = 8) -> GridReport:
                 check("wedge_square", d, k=k)
         cap = min(max_degree, 6)
         for k in range(1, 3):
-            for n in range(2 * k + 1, 2 * k + 4):
-                for d in range(cap + 1):
-                    check("o_duality", d, n=n, k=k)
-            for n in range(k, k + 3):
-                for d in range(cap + 1):
-                    check("sp_duality", d, n=n, k=k)
+            for kind, least in (("o_duality", 2 * k + 1), ("sp_duality", k)):
+                for n in range(least, least + 3):
+                    for d in range(cap + 1):
+                        check(kind, d, n=n, k=k)
     return report
 
 

@@ -106,6 +106,20 @@ MUTANTS = (
         "",
         "load_cache_lines puts a key that is not a partition in the memo,"
         " where skew_expand answers it unchecked"),
+    Mutant(
+        "direct-sum-skips-mass-check", "oracle.py",
+        "    if mass != dim_of_weight(g_big, wbig):\n"
+        "        raise ExactnessError(\"direct-sum mass check failed\")\n",
+        "",
+        "_sum_decomposition returns a decomposition whose dimensions do not"
+        " add up to the big representation's"),
+    Mutant(
+        "restriction-skips-mass-check", "oracle.py",
+        "    if mass != dim_of_weight(g_big, wbig):\n"
+        "        raise ExactnessError(\"restriction mass check failed\")\n",
+        "",
+        "_restriction_decomposition returns a decomposition whose dimensions"
+        " do not add up to the big representation's"),
 )
 
 

@@ -12,7 +12,6 @@ import pytest
 from branchkit.branching import PAIR_IDS, PAIRS, branch_decompose
 from branchkit.characters import (
     GL,
-    GroupSpec,
     decompose_character,
     full_weight_support,
     irreducible_character,
@@ -29,7 +28,6 @@ from branchkit.partitions import (
     conjugate,
     contains,
     partitions_of,
-    partitions_up_to,
 )
 from branchkit.verify import (
     DEFAULT_MAX_SIZE,
@@ -40,6 +38,8 @@ from branchkit.verify import (
     run_littlewood_consistency,
     run_padding_probe,
 )
+
+from test_characters import ALL_SMALL_GROUPS, dominant_weights
 
 
 def _report(name: str, ok: bool, detail: str):
@@ -213,26 +213,11 @@ def test_criterion_5_dimension_conservation():
 # Criterion 6: character oracle self-checks
 
 
-def _self_check_weights(g, max_size):
-    out = []
-    for lam in partitions_up_to(max_size, max_length=g.torus_rank):
-        w = tuple(lam) + (0,) * (g.torus_rank - len(lam))
-        out.append(w)
-        if g.family == "SOEven" and len(lam) == g.torus_rank and lam[-1]:
-            out.append(w[:-1] + (-w[-1],))
-        if g.family == "GL" and lam:
-            out.append(tuple(x - lam[-1] - 1 for x in w))
-    return sorted(set(out))
-
-
 def test_criterion_6_character_self_checks():
-    groups = [GroupSpec(fam, r)
-              for fam in ("GL", "Sp", "SOOdd", "SOEven")
-              for r in (1, 2, 3)]
     checked = 0
-    for g in groups:
+    for g in ALL_SMALL_GROUPS:
         tr = two_rho(g)
-        for w in _self_check_weights(g, 4):
+        for w in dominant_weights(g, 4):
             chi = irreducible_character(g, w)
             # zero-remainder division, re-verified by multiplying back
             if g.family == "SOOdd":

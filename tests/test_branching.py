@@ -612,6 +612,16 @@ def test_query_with_the_wrong_number_of_small_labels_is_an_invalid_label(
         query(pair, ranks, big, small)
 
 
+@pytest.mark.parametrize("label,message", [
+    (RepLabel("Sp", -1, (1,)), "negative rank -1"),
+    (RepLabel("GL", 2, (1,)), r"GL label needs a \(plus, minus\) pair"),
+    (RepLabel("X", 2, (1,)), "unknown family 'X'"),
+])
+def test_rep_label_validate_refuses(label, message):
+    with pytest.raises(InvalidLabel, match=f"^{message}$"):
+        label.validate()
+
+
 @pytest.mark.parametrize("unsafe", [False, True])
 def test_branching_multiplicity_validates_the_labels_once(monkeypatch, unsafe):
     calls = []

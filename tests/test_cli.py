@@ -444,6 +444,17 @@ def test_unicode_digit_is_a_parse_error(argv):
     assert "Traceback" not in proc.stderr
 
 
+def test_a_part_past_the_int_digit_limit_is_a_parse_error():
+    huge = "9" * 5000
+    proc = subprocess.run(
+        [sys.executable, "-m", "branchkit", "lr", "--outer", f"[{huge}]",
+         "--left", "[1]", "--right", "[]"],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"error: bad partition token '{huge}'")
+    assert "Traceback" not in proc.stderr
+
+
 def test_verify_rejects_negative_max_size(capsys):
     code, out, err = run_cli(capsys, "verify", "--pair", "o-diag",
                              "--max-size", "-1")

@@ -100,29 +100,6 @@ class TestOracleExamples:
         with pytest.raises(OutOfSafeRegime):
             oracle_multiplicity(query("o-diag", (4,), (1, 1), [(1,), (1,)]))
 
-    def test_fast_tensor_path_equals_slow_pipeline(self):
-        # explicit poly product + greedy decomposition, against the
-        # Brauer-Klimyk fold; the later cases put many fold terms on walls
-        cases = [
-            (GL(3), (2, 1, 0), (1, 1, 0)),
-            (GL(3), (2, 0, -1), (1, 0, -1)),
-            (Sp(2), (2, 1), (1, 1)),
-            (Sp(3), (1, 1, 0), (1, 1, 1)),
-            (SO(5), (2, 1), (1, 1)),
-            (SO(7), (1, 1, 1), (2, 0, 0)),
-            (SO(8), (1, 1, 1, 1), (1, 0, 0, 0)),
-            (SO(8), (1, 1, 1, -1), (1, 1, 0, 0)),
-            (Sp(3), (1, 0, 0), (1, 0, 0)),
-            (Sp(4), (2, 0, 0, 0), (1, 1, 0, 0)),
-            (SO(7), (1, 0, 0), (1, 0, 0)),
-            (SO(9), (2, 0, 0, 0), (1, 1, 0, 0)),
-            (SO(8), (1, 1, 1, 1), (1, 1, 1, -1)),
-            (SO(8), (1, 1, 1, -1), (1, 1, 1, -1)),
-        ]
-        for g, w1, w2 in cases:
-            fast = list(decompose_tensor(g, w1, w2).items())
-            assert fast == _slow_tensor(g, w1, w2), (g, w1, w2)
-
     def test_polarization_oracle_example(self):
         # E^(1)_(O12) restricted to GL6 is the standard plus its dual
         dec = oracle_decomposition("gl-in-o", (6,), (1,))
@@ -322,7 +299,27 @@ def _stable_products():
             yield GroupSpec("SOEven", n), negative, _pad(b, n)
 
 
-@pytest.mark.parametrize("g,w1,w2", list(_stable_products()))
+# hand-picked small ranks; the later ones put many fold terms on walls
+_SMALL_PRODUCTS = [
+    (GL(3), (2, 1, 0), (1, 1, 0)),
+    (GL(3), (2, 0, -1), (1, 0, -1)),
+    (Sp(2), (2, 1), (1, 1)),
+    (Sp(3), (1, 1, 0), (1, 1, 1)),
+    (SO(5), (2, 1), (1, 1)),
+    (SO(7), (1, 1, 1), (2, 0, 0)),
+    (SO(8), (1, 1, 1, 1), (1, 0, 0, 0)),
+    (SO(8), (1, 1, 1, -1), (1, 1, 0, 0)),
+    (Sp(3), (1, 0, 0), (1, 0, 0)),
+    (Sp(4), (2, 0, 0, 0), (1, 1, 0, 0)),
+    (SO(7), (1, 0, 0), (1, 0, 0)),
+    (SO(9), (2, 0, 0, 0), (1, 1, 0, 0)),
+    (SO(8), (1, 1, 1, 1), (1, 1, 1, -1)),
+    (SO(8), (1, 1, 1, -1), (1, 1, 1, -1)),
+]
+
+
+@pytest.mark.parametrize("g,w1,w2",
+                         list(_stable_products()) + _SMALL_PRODUCTS)
 def test_fold_matches_multiplied_out_product_in_the_stable_range(g, w1, w2):
     assert list(decompose_tensor(g, w1, w2).items()) == \
         _slow_tensor(g, w1, w2)
@@ -360,6 +357,42 @@ def test_fold_checks_catch_a_dropped_weight(monkeypatch, g, w1, w2, caught):
                 decompose_tensor(g, w1, w2)
             raised.add(exc.type)
     assert raised == caught
+
+
+@pytest.mark.parametrize("pair,ranks,big,message", [
+    ("o-sum", (5, 5), (2,), "direct-sum mass check failed"),
+    ("sp-sum", (2, 2), (1, 1), "direct-sum mass check failed"),
+    ("gl-sum", (2, 2), L((1,), (1,)), "direct-sum mass check failed"),
+    ("o-in-gl", (6,), L((2,)), "restriction mass check failed"),
+    ("sp-in-gl", (3,), L((1, 1)), "restriction mass check failed"),
+    ("gl-in-o", (6,), (1, 1), "restriction mass check failed"),
+])
+def test_mass_checks_refuse_a_spurious_trivial_constituent(
+        monkeypatch, pair, ranks, big, message):
+    # one more copy of the remainder's zero weight reads as one more
+    # trivial constituent: the greedy pass accepts it, the mass check not
+    import branchkit.oracle as oracle
+
+    real_sum, real_restriction = (oracle._sum_remainder,
+                                  oracle._restriction_remainder)
+
+    def spurious_sum(g_big, w, ga, gb):
+        rem = real_sum(g_big, w, ga, gb)
+        zero = (0,) * ga.torus_rank, (0,) * gb.torus_rank
+        rem[zero] = rem.get(zero, 0) + 1
+        return rem
+
+    def spurious_restriction(kind, g_big, w, g):
+        rem = real_restriction(kind, g_big, w, g)
+        zero = (0,) * g.torus_rank
+        rem[zero] = rem.get(zero, 0) + 1
+        return rem
+
+    monkeypatch.setattr(oracle, "_sum_remainder", spurious_sum)
+    monkeypatch.setattr(oracle, "_restriction_remainder", spurious_restriction)
+    monkeypatch.setattr(oracle, "_ORACLE_CACHE", {})  # no memoized answer
+    with pytest.raises(ExactnessError, match=message):
+        oracle_decomposition(pair, ranks, big)
 
 
 def test_oracle_decomposition_with_too_few_ranks_is_an_invalid_label():

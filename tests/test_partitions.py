@@ -75,6 +75,13 @@ def test_parse_rejects_garbage():
             parse_partition(bad)
 
 
+def test_parse_refuses_a_part_past_the_int_digit_limit():
+    # int() refuses a decimal string longer than its 4300-digit limit
+    huge = "9" * 5000
+    with pytest.raises(ParseError, match=f"^bad partition token '{huge}'"):
+        parse_partition(f"[{huge}]")
+
+
 def test_ensure_partition_rejects_negative():
     with pytest.raises(NotAPartition):
         ensure_partition((2, -1))
